@@ -9,16 +9,11 @@ from .engine import (
     MatchPolicy,
     MatchSet,
     OrchestratorConfig,
-    PreferenceList,
     assign_volunteers,
     ca_dtb,
     club_matches,
     current_donors,
     current_receivers,
-    donor_neighbourhood,
-    eligible_donors_for,
-    eligible_volunteers,
-    extract_augment,
     match_receivers,
     vicinity_candidate,
 )
@@ -46,9 +41,6 @@ from .model import (
     Thresholds,
     TimeWindow,
     VolunteerRequest,
-    next_arrival_seq,
-    perishability,
-    tie_break_compare,
 )
 from .pool import ActivePool, expire_stale_matches, requeue_rejected, split_into_meals, submit_request
 from .scenario import Scenario, ScenarioConfig, generate_scenario, load_scenario, save_scenario

@@ -28,9 +28,6 @@ class ClassifiedLists:
     npfd: list[DonationRequest] = field(default_factory=list)
     npfr: list[RequirementRequest] = field(default_factory=list)
 
-    def total(self) -> int:
-        return len(self.v) + len(self.pfd) + len(self.pfr) + len(self.npfd) + len(self.npfr)
-
     def all_ids(self):
         for lst in (self.v, self.pfd, self.pfr, self.npfd, self.npfr):
             for request in lst:

@@ -22,8 +22,8 @@ stay in the market.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
 from .geometry import (
@@ -78,51 +78,21 @@ class OrchestratorConfig:
             raise ValueError("tick_minutes must be at least 1")
 
 
-@dataclass
-class PreferenceList:
-    """Extracted-and-augmented preference over requests.
+def collapse_ranks(preferred: Sequence[int], eligible_agents: Container[int]) -> tuple[dict[int, int], int]:
+    """Extract and augment one submitted agent-id list against run-time
+    eligibility.
 
-    entries holds (request id, rank) with non-decreasing ranks: listed agents
-    keep their submitted order under collapsed ranks 1..k, and every other
-    eligible agent is appended at the shared lowest rank k+1, ordered by
-    arrival sequence.
+    Listed eligible agents keep their submitted order under collapsed ranks
+    1..k (agent id -> rank); every other eligible agent shares the returned
+    tail rank k+1.
     """
-
-    entries: list[tuple[RequestId, int]] = field(default_factory=list)
-    augmented_tail_rank: int = 0
-    agent_ranks: dict[int, int] = field(default_factory=dict)
-
-    def rank_of_agent(self, agent_id: int) -> Optional[int]:
-        return self.agent_ranks.get(agent_id)
-
-
-def extract_augment(original: Sequence[int], eligible: Sequence[Request]) -> PreferenceList:
-    """Restrict a submitted agent-id list to the eligible requests and append
-    the unlisted remainder at one shared lowest rank."""
-    by_agent: dict[int, list[Request]] = {}
-    for request in eligible:
-        by_agent.setdefault(request.id.agent_id, []).append(request)
-    for requests in by_agent.values():
-        requests.sort(key=lambda r: r.arrival)
-
-    pref = PreferenceList()
+    ranks: dict[int, int] = {}
     rank = 0
-    for agent_id in original:
-        if agent_id in by_agent and agent_id not in pref.agent_ranks:
+    for agent in preferred:
+        if agent in eligible_agents and agent not in ranks:
             rank += 1
-            pref.agent_ranks[agent_id] = rank
-            for request in by_agent[agent_id]:
-                pref.entries.append((request.id, rank))
-
-    tail = [r for agent, reqs in by_agent.items() if agent not in pref.agent_ranks for r in reqs]
-    if tail:
-        tail.sort(key=lambda r: r.arrival)
-        tail_rank = rank + 1
-        pref.augmented_tail_rank = tail_rank
-        for request in tail:
-            pref.agent_ranks.setdefault(request.id.agent_id, tail_rank)
-            pref.entries.append((request.id, tail_rank))
-    return pref
+            ranks[agent] = rank
+    return ranks, rank + 1
 
 
 class MatchSet:
@@ -193,18 +163,6 @@ def volunteer_is_eligible(
         if not receiver_universe.intersection(v.receivers):
             return False
     return True
-
-
-def eligible_volunteers(
-    d: DonationRequest,
-    vols: Sequence[VolunteerRequest],
-    thresholds: Thresholds,
-    receiver_universe: Optional[set[int]] = None,
-) -> list[VolunteerRequest]:
-    """Volunteers that can carry this donation: payload headroom, pickup
-    radius, availability overlap, and a restricted receivers list (if any)
-    intersecting the donor's potential receiver universe."""
-    return [v for v in vols if volunteer_is_eligible(d, v, thresholds, receiver_universe)]
 
 
 def vicinity_candidate(
@@ -321,44 +279,6 @@ def assign_volunteers(
 # ---------------------------------------------------------------------------
 
 
-def eligible_donors_for(
-    r: RequirementRequest,
-    donors: Sequence[DonationRequest],
-    taxonomy: Optional[FoodTaxonomy] = None,
-) -> list[DonationRequest]:
-    """Donors whose donation ends before the requirement ends, same food class."""
-    taxonomy = taxonomy or FoodTaxonomy()
-    r_class = taxonomy.perishability(r.food)
-    return [
-        d
-        for d in donors
-        if d.window.end <= r.window.end and taxonomy.perishability(d.food) is r_class
-    ]
-
-
-def donor_neighbourhood(
-    d: DonationRequest,
-    receivers: Sequence[RequirementRequest],
-    thresholds: Thresholds,
-    volunteer: Optional[VolunteerRequest] = None,
-) -> list[RequirementRequest]:
-    """Receivers this donor can actually reach: inside the vicinity circle,
-    inside the assigned volunteer's drop-off band, and on the volunteer's
-    restricted receivers list when one was given."""
-    out = []
-    route = volunteer_route(volunteer) if volunteer is not None else None
-    for r in receivers:
-        if distance(r.location, d.location) > d.vicinity:
-            continue
-        if volunteer is not None:
-            if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
-                continue
-            if not within_dropoff_band(r.location, route, thresholds.t_l):
-                continue
-        out.append(r)
-    return out
-
-
 class _PairContext:
     """Per-iteration pairwise eligibility and preference-position tables.
 
@@ -405,66 +325,39 @@ class _PairContext:
                 return False
         return True
 
-    def _donor_table(self, d: DonationRequest) -> tuple[dict[int, int], Optional[int]]:
-        """Agent-id -> priority position of each receiver agent in this
-        donor's preference; second item is the shared tail rank (None when
+    def _rank_table(
+        self, preferred: Sequence[int], partners: Sequence[Request], eligible: Callable[[Request], bool]
+    ) -> tuple[dict[int, int], Optional[int]]:
+        """Agent-id -> priority position of each partner agent in one
+        request's preference; second item is the shared tail rank (None when
         unlisted agents cannot be matched, i.e. raw mode with a list)."""
-        cached = self._donor_tables.get(d.id)
-        if cached is not None:
-            return cached
         if self.raw_mode:
-            if d.preferred_receivers:
-                table = ({agent: i + 1 for i, agent in enumerate(d.preferred_receivers)}, None)
-            else:
-                table = ({}, 1)
-        else:
-            eligible_agents = set()
-            for r in self.receivers:
-                if r.id.agent_id not in eligible_agents and self.pair_eligible(d, r):
-                    eligible_agents.add(r.id.agent_id)
-            ranks: dict[int, int] = {}
-            rank = 0
-            for agent in d.preferred_receivers:
-                if agent in eligible_agents and agent not in ranks:
-                    rank += 1
-                    ranks[agent] = rank
-            table = (ranks, rank + 1)
-        self._donor_tables[d.id] = table
-        return table
+            if preferred:
+                return {agent: i + 1 for i, agent in enumerate(preferred)}, None
+            return {}, 1
+        eligible_agents = set()
+        for partner in partners:
+            if partner.id.agent_id not in eligible_agents and eligible(partner):
+                eligible_agents.add(partner.id.agent_id)
+        return collapse_ranks(preferred, eligible_agents)
 
     def donor_position(self, d: DonationRequest, receiver_agent: int) -> Optional[int]:
-        ranks, tail = self._donor_table(d)
-        position = ranks.get(receiver_agent)
-        if position is not None:
-            return position
-        return tail
+        table = self._donor_tables.get(d.id)
+        if table is None:
+            table = self._donor_tables[d.id] = self._rank_table(
+                d.preferred_receivers, self.receivers, lambda r: self.pair_eligible(d, r)
+            )
+        ranks, tail = table
+        return ranks.get(receiver_agent, tail)
 
     def receiver_rank(self, r: RequirementRequest, donor_agent: int) -> Optional[int]:
-        cached = self._receiver_tables.get(r.id)
-        if cached is None:
-            if self.raw_mode:
-                if r.preferred_donors:
-                    cached = ({agent: i + 1 for i, agent in enumerate(r.preferred_donors)}, None)
-                else:
-                    cached = ({}, 1)
-            else:
-                eligible_agents = set()
-                for d in self.donors:
-                    if d.id.agent_id not in eligible_agents and self.pair_eligible(d, r):
-                        eligible_agents.add(d.id.agent_id)
-                ranks = {}
-                rank = 0
-                for agent in r.preferred_donors:
-                    if agent in eligible_agents and agent not in ranks:
-                        rank += 1
-                        ranks[agent] = rank
-                cached = (ranks, rank + 1)
-            self._receiver_tables[r.id] = cached
-        ranks, tail = cached
-        position = ranks.get(donor_agent)
-        if position is not None:
-            return position
-        return tail
+        table = self._receiver_tables.get(r.id)
+        if table is None:
+            table = self._receiver_tables[r.id] = self._rank_table(
+                r.preferred_donors, self.donors, lambda d: self.pair_eligible(d, r)
+            )
+        ranks, tail = table
+        return ranks.get(donor_agent, tail)
 
 
 class EligibilityTrace:
@@ -757,15 +650,9 @@ class MatchingEngine:
         active = self.active_carry_ids()
         for group in stale:
             expire_stale_matches(group.matches, now, self.thresholds)
-            for match in group.matches:
-                requeue_rejected(match, self.pool, already_active=active)
-                active.add(match.donor)
-                if match.volunteer is not None:
-                    active.add(match.volunteer)
-                if match.receiver is not None:
-                    active.add(match.receiver)
+            self._requeue(group.matches, active)
 
-    def apply_decisions(self, decisions: Sequence[tuple[DisplayGroup, bool]], now: int) -> None:
+    def apply_decisions(self, decisions: Sequence[tuple[DisplayGroup, bool]]) -> None:
         """Record accept/reject outcomes for displayed groups.
 
         A clubbed group is a single notification, so the whole group shares
@@ -783,13 +670,19 @@ class MatchingEngine:
                     active = self.active_carry_ids()
                 for match in group.matches:
                     match.status = MatchStatus.REJECTED
-                    requeue_rejected(match, self.pool, already_active=active)
-                    active.add(match.donor)
-                    if match.volunteer is not None:
-                        active.add(match.volunteer)
-                    if match.receiver is not None:
-                        active.add(match.receiver)
+                self._requeue(group.matches, active)
             self.open_groups = [g for g in self.open_groups if g.id != group.id]
+
+    def _requeue(self, matches: Sequence[Match], active: set[RequestId]) -> None:
+        """Requeue failed matches one by one; each request they return is
+        marked active so a later match in the batch does not enqueue it again."""
+        for match in matches:
+            requeue_rejected(match, self.pool, already_active=active)
+            active.add(match.donor)
+            if match.volunteer is not None:
+                active.add(match.volunteer)
+            if match.receiver is not None:
+                active.add(match.receiver)
 
     def delivery_records(self):
         """Off-routing audit records for every accepted volunteer delivery."""

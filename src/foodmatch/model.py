@@ -75,11 +75,6 @@ _DEFAULT_TAXONOMY = {
 }
 
 
-def perishability(taxonomy: FoodTaxonomy, food: FoodType) -> Perishability:
-    """Deterministic class lookup for one food type."""
-    return taxonomy.perishability(food)
-
-
 @dataclass(frozen=True)
 class Location:
     x: float
@@ -137,10 +132,6 @@ class Sequencer:
     def next(self) -> int:
         with self._lock:
             return next(self._counter)
-
-
-def next_arrival_seq(sequencer: Sequencer) -> int:
-    return sequencer.next()
 
 
 @dataclass(frozen=True)
@@ -290,25 +281,3 @@ class Match:
     created_at: int
     delivered_amount: int = 0
     requeued: bool = False
-
-
-def tie_break_key(event_time: int, arrival: int) -> tuple[int, int]:
-    """Sort key for the system-wide double tie-break.
-
-    Orders by event time (donation start for donors, requirement end for
-    receivers) and then by the globally unique arrival sequence.
-    """
-    return (event_time, arrival)
-
-
-def tie_break_compare(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Strict total-order comparison over (event_time, arrival) pairs.
-
-    Returns -1 when a precedes b, 1 when b precedes a. Equal pairs violate
-    arrival uniqueness and are rejected outright.
-    """
-    if a[0] != b[0]:
-        return -1 if a[0] < b[0] else 1
-    if a[1] == b[1]:
-        raise AssertionError(f"duplicate arrival sequence in tie-break: {a} vs {b}")
-    return -1 if a[1] < b[1] else 1

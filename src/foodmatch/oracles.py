@@ -54,13 +54,8 @@ MAX_ORACLE_RECEIVERS = 5
 MAX_ORACLE_VOLUNTEERS = 3
 
 
-def verify_gamma_bound(deliveries, thresholds: Thresholds, tolerance: float = 1e-9) -> bool:
-    """True iff every delivery's off-routing stays within 4 * t_l percent."""
-    bound = 4.0 * thresholds.t_l + tolerance
-    return all(record.overhead_pct <= bound for record in deliveries)
-
-
 def gamma_violations(deliveries, thresholds: Thresholds, tolerance: float = 1e-9):
+    """Deliveries whose off-routing exceeds 4 * t_l percent."""
     bound = 4.0 * thresholds.t_l + tolerance
     return [record for record in deliveries if record.overhead_pct > bound]
 
@@ -84,16 +79,6 @@ class Instance:
 
     def clone(self) -> "Instance":
         return copy.deepcopy(self)
-
-    def agents(self) -> dict[int, str]:
-        roles = {}
-        for d in self.donors:
-            roles[d.id.agent_id] = "donor"
-        for r in self.receivers:
-            roles[r.id.agent_id] = "receiver"
-        for v in self.vols:
-            roles[v.id.agent_id] = "volunteer"
-        return roles
 
 
 def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:

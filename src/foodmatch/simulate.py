@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,14 +62,14 @@ class SimReport:
     allocation: dict[str, float]
     served_grams: int
     requested_grams: int
-    donated_accepted_grams: int
+    credited_grams: int
+    carried_grams: int
     fulfillment_pct: float
     match_counts: dict[str, int]
     deliveries: list[DeliveryRecord]
     terminal_states: dict[str, str]
     lifecycle_consistent: bool
     accepted_groups: list[dict]
-    iteration_wall_times: list[float] = field(default_factory=list)
     eligibility_universes: dict[int, set[int]] = field(default_factory=dict)
 
 
@@ -80,7 +79,6 @@ def run_simulation(
     acceptance: AcceptanceModel = AcceptanceModel(),
     orchestrator: OrchestratorConfig = OrchestratorConfig(),
     trace: bool = False,
-    collect_timings: bool = False,
 ) -> SimReport:
     """Run one scenario to completion and measure it."""
     thresholds = scenario.config.thresholds
@@ -103,7 +101,6 @@ def run_simulation(
     now = start
     pending = 0
     iterations = 0
-    wall_times: list[float] = []
 
     while now <= horizon or engine.open_groups or pending < len(schedule):
         if iterations >= orchestrator.max_iterations:
@@ -115,10 +112,7 @@ def run_simulation(
             submit_request(schedule[pending].request, pool, thresholds)
             pending += 1
 
-        t0 = time.perf_counter() if collect_timings else 0.0
         groups = engine.iterate(now)
-        if collect_timings:
-            wall_times.append(time.perf_counter() - t0)
 
         decisions = []
         for group in groups:
@@ -126,19 +120,18 @@ def run_simulation(
             if verdict is not None:
                 decisions.append((group, verdict))
         if decisions:
-            engine.apply_decisions(decisions, now)
+            engine.apply_decisions(decisions)
 
         iterations += 1
         now += tick
 
-    return _build_report(scenario, engine, pool, wall_times, eligibility)
+    return _build_report(scenario, engine, pool, eligibility)
 
 
 def _build_report(
     scenario: Scenario,
     engine: MatchingEngine,
     pool: ActivePool,
-    wall_times: list[float],
     eligibility: Optional[EligibilityTrace],
 ) -> SimReport:
     donors: list[DonationRequest] = []
@@ -178,7 +171,6 @@ def _build_report(
 
     served = sum(m.delivered_amount for m in accepted)
     requested = sum(r.amount for r in receivers)
-    donated = served  # every accepted match moves exactly its meal grams
 
     match_counts: dict[str, int] = {status.value: 0 for status in MatchStatus}
     for match in engine.ledger:
@@ -201,20 +193,29 @@ def _build_report(
         if g.status is MatchStatus.ACCEPTED
     ]
 
-    meal_count = sum(1 for rid in pool.all_registered() if isinstance(pool.lookup(rid), DonationRequest))
+    # grams read off the live requests, independently of the match ledger
+    meal_count = credited = carried = 0
+    for rid in pool.all_registered():
+        request = pool.lookup(rid)
+        if isinstance(request, DonationRequest):
+            meal_count += 1
+        elif isinstance(request, RequirementRequest):
+            credited += request.amount - request.remaining_amount
+        else:
+            carried += request.payload_capacity - request.remaining_payload
     return SimReport(
         counts={"donors": n_d, "receivers": n_r, "volunteers": n_v, "meals": meal_count},
         allocation=allocation,
         served_grams=served,
         requested_grams=requested,
-        donated_accepted_grams=donated,
+        credited_grams=credited,
+        carried_grams=carried,
         fulfillment_pct=pct(min(served, requested), requested),
         match_counts=match_counts,
         deliveries=engine.delivery_records(),
         terminal_states=terminal,
         lifecycle_consistent=consistent,
         accepted_groups=accepted_groups,
-        iteration_wall_times=wall_times,
         eligibility_universes=_universes_by_agent(eligibility),
     )
 

@@ -5,6 +5,7 @@ the two-receiver end-sort case)."""
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from foodmatch.engine import (
     MatchPolicy,
@@ -12,13 +13,11 @@ from foodmatch.engine import (
     assign_volunteers,
     ca_dtb,
     club_matches,
+    collapse_ranks,
     current_donors,
     current_receivers,
-    donor_neighbourhood,
-    eligible_donors_for,
-    eligible_volunteers,
-    extract_augment,
     vicinity_candidate,
+    volunteer_is_eligible,
 )
 from foodmatch.model import (
     DonationRequest,
@@ -33,6 +32,7 @@ from foodmatch.model import (
     TimeWindow,
     VolunteerRequest,
 )
+from foodmatch.oracles import Instance, run_instance
 
 TH = Thresholds()
 P = Perishability.PERISHABLE
@@ -94,28 +94,28 @@ class TestVolunteerEligibility:
         d = donor(1, amount=1000)
         ok = vol(90, payload=1200)
         short = vol(91, payload=1199)
-        assert eligible_volunteers(d, [ok], TH) == [ok]
-        assert eligible_volunteers(d, [short], TH) == []
+        assert volunteer_is_eligible(d, ok, TH)
+        assert not volunteer_is_eligible(d, short, TH)
 
     def test_overlap_below_threshold_excluded(self):
         d = donor(1, window=(700, 800))
         v = vol(90, window=(500, 714))  # overlap 14 < 15
-        assert eligible_volunteers(d, [v], TH) == []
+        assert not volunteer_is_eligible(d, v, TH)
         v2 = vol(91, window=(500, 715))  # overlap exactly 15
-        assert eligible_volunteers(d, [v2], TH) == [v2]
+        assert volunteer_is_eligible(d, v2, TH)
 
     def test_pickup_radius(self):
         d = donor(1, loc=(9.5 + 1.026, 10))  # just past 5% of 20.5 km
         v = vol(90)
-        assert eligible_volunteers(d, [v], TH) == []
+        assert not volunteer_is_eligible(d, v, TH)
 
     def test_restricted_volunteer_needs_universe_overlap(self):
         d = donor(1)
         v = vol(90, receivers=(9,))
-        assert eligible_volunteers(d, [v], TH, receiver_universe={50, 51}) == []
-        assert eligible_volunteers(d, [v], TH, receiver_universe={9, 50}) == [v]
-        # unknown universe defers the restriction to the neighbourhood stage
-        assert eligible_volunteers(d, [v], TH) == [v]
+        assert not volunteer_is_eligible(d, v, TH, receiver_universe={50, 51})
+        assert volunteer_is_eligible(d, v, TH, receiver_universe={9, 50})
+        # unknown universe defers the restriction to pair eligibility
+        assert volunteer_is_eligible(d, v, TH)
 
 
 class TestVicinityCandidate:
@@ -177,46 +177,63 @@ class TestAssignVolunteers:
         assert d.vicinity == 20.0  # floored to motored perishable reach
 
 
+def served_pairs(donors, receivers, vols=(), now=660):
+    """(donor agent, receiver agent) of every match one class round completes."""
+    result = ca_dtb(donors, receivers, list(vols), P, now, TH)
+    return [(m.donor.agent_id, m.receiver.agent_id) for m in result.completed()]
+
+
 class TestEligibleDonors:
     def test_end_before_end(self):
-        r = receiver(50, window=(820, 980))
+        r = receiver(50, window=(820, 980), amount=2000)
         early = donor(1, window=(700, 800))
         late = donor(2, window=(700, 981))
-        assert eligible_donors_for(r, [early, late]) == [early]
+        assert served_pairs([early, late], [r]) == [(1, 50)]
 
     def test_boundary_equal_ends(self):
         r = receiver(50, window=(820, 980))
         d = donor(1, window=(700, 980))
-        assert eligible_donors_for(r, [d]) == [d]
+        assert served_pairs([d], [r]) == [(1, 50)]
 
     def test_class_separation(self):
         r = receiver(50, food=FoodType.PACKAGED_SOLID, window=(820, 980))
         d = donor(1, food=FoodType.FRESHLY_COOKED, window=(700, 800))
-        assert eligible_donors_for(r, [d]) == []
+        matches, _ = run_instance(Instance(donors=[d], receivers=[r], vols=[], now=660))
+        assert [m for m in matches if m.receiver is not None] == []
 
 
 class TestDonorNeighbourhood:
     def test_vicinity_and_band(self):
+        # both excluded receivers end first, so either would be served first
         d = donor(1, loc=(10, 10))
-        d.vicinity = 20.0
         inside = receiver(50, loc=(18, 10.5))
-        off_band = receiver(51, loc=(18, 12.5))
-        v = vol(90)
-        hood = donor_neighbourhood(d, [inside, off_band], TH, volunteer=v)
-        assert hood == [inside]
+        off_band = receiver(51, loc=(18, 12.5), window=(820, 970))
+        beyond_reach = receiver(52, loc=(30.5, 10), window=(820, 960))  # 20.5 km, on the band
+        assert served_pairs([d], [inside, off_band, beyond_reach], [vol(90)]) == [(1, 50)]
+        assert d.vicinity == 20.0
 
     def test_volunteerless_skips_band(self):
         d = donor(1, loc=(10, 10))
-        d.vicinity = 5.0
         edge = receiver(50, loc=(10, 14.9))
-        assert donor_neighbourhood(d, [edge], TH) == [edge]
+        assert served_pairs([d], [edge]) == [(1, 50)]
+        assert d.vicinity == 5.0
 
     def test_restricted_receiver_list_enforced(self):
+        # 50 ends first but is off the volunteer's list; 99 is on it
         d = donor(1, loc=(10, 10))
-        d.vicinity = 20.0
         r = receiver(50, loc=(18, 10.5))
+        listed = receiver(99, loc=(20, 10.5), window=(820, 990))
         v = vol(90, receivers=(99,))
-        assert donor_neighbourhood(d, [r], TH, volunteer=v) == []
+        assert served_pairs([d], [r, listed], [v]) == [(1, 99)]
+        assert d.vicinity == 20.0
+
+
+def collapsed_entries(preferred, eligible):
+    """(agent, rank) of each eligible request, ordered by (rank, arrival), and
+    the tail rank."""
+    ranks, tail = collapse_ranks(preferred, {e.id.agent_id for e in eligible})
+    ordered = sorted(eligible, key=lambda e: (ranks.get(e.id.agent_id, tail), e.arrival))
+    return [(e.id.agent_id, ranks.get(e.id.agent_id, tail)) for e in ordered], tail
 
 
 class TestExtractAugment:
@@ -227,26 +244,22 @@ class TestExtractAugment:
         d_q = donor(102, arrival=12)
         d_r = donor(103, arrival=13)
         d_s = donor(104, arrival=14)
-        pref = extract_augment([102, 100, 101], [d_p, d_q, d_r, d_s])
-        assert pref.entries == [
-            (d_q.id, 1),
-            (d_p.id, 2),
-            (d_r.id, 3),
-            (d_s.id, 3),
-        ]
-        assert pref.augmented_tail_rank == 3
-        assert pref.rank_of_agent(102) == 1 and pref.rank_of_agent(104) == 3
+        entries, tail = collapsed_entries([102, 100, 101], [d_p, d_q, d_r, d_s])
+        assert entries == [(102, 1), (101, 2), (103, 3), (104, 3)]
+        assert tail == 3
+        assert collapse_ranks([102, 100, 101], {101, 102, 103, 104}) == ({102: 1, 101: 2}, 3)
 
     def test_empty_original_all_equal_by_arrival(self):
         a = donor(1, arrival=5)
         b = donor(2, arrival=3)
-        pref = extract_augment([], [a, b])
-        assert pref.entries == [(b.id, 1), (a.id, 1)]
-        assert pref.augmented_tail_rank == 1
+        entries, tail = collapsed_entries([], [a, b])
+        assert entries == [(2, 1), (1, 1)]
+        assert tail == 1
 
     def test_no_eligible_gives_empty(self):
-        pref = extract_augment([7], [])
-        assert pref.entries == [] and pref.augmented_tail_rank == 0
+        entries, tail = collapsed_entries([7], [])
+        # nothing listed is eligible, so the tail is the first rank
+        assert entries == [] and tail == 1
 
 
 def _table5_market(now=580):
@@ -384,6 +397,35 @@ class TestCaDtb:
             result = ca_dtb(donors, receivers, vols, P, 660, TH)
             outputs.append([(str(m.donor), str(m.volunteer), str(m.receiver)) for m in result.matches])
         assert outputs[0] == outputs[1]
+
+
+def tied_donor(agent, start, arrival):
+    """A donor that every receiver in these tests ranks, and is ranked by,
+    at the shared tail: only event time and arrival tell two apart."""
+    return donor(agent, window=(start, 800), arrival=arrival)
+
+
+class TestTieBreak:
+    def _winner(self, donors):
+        r = receiver(50, amount=1000)
+        result = ca_dtb(donors, [r], [], P, 660, TH)
+        (match,) = result.completed()
+        return match.donor.agent_id
+
+    def test_earlier_event_time_first(self):
+        # the later-starting donor arrived first and still loses
+        assert self._winner([tied_donor(1, 690, arrival=1), tied_donor(2, 680, arrival=2)]) == 2
+
+    def test_equal_event_time_earlier_arrival_first(self):
+        assert self._winner([tied_donor(1, 690, arrival=7), tied_donor(2, 690, arrival=3)]) == 2
+        assert self._winner([tied_donor(1, 690, arrival=3), tied_donor(2, 690, arrival=7)]) == 1
+
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 10 ** 6)), min_size=2, max_size=8,
+                    unique_by=lambda t: t[1]))
+    def test_winner_has_least_event_time_then_arrival(self, keys):
+        donors = [tied_donor(agent, 650 + offset, arrival) for agent, (offset, arrival) in enumerate(keys, 1)]
+        expected = min(donors, key=lambda d: (d.event_time, d.arrival))
+        assert self._winner(donors) == expected.id.agent_id
 
 
 class TestClubbing:

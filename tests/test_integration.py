@@ -50,7 +50,7 @@ class TestRequeueRematch:
 
         first = engine.iterate(660)
         assert len(first) == 1
-        engine.apply_decisions([(first[0], False)], 660)
+        engine.apply_decisions([(first[0], False)])
         assert first[0].status is MatchStatus.REJECTED
         assert receiver.remaining_amount == 1000
         assert volunteer.remaining_payload == 5000
@@ -59,7 +59,7 @@ class TestRequeueRematch:
         assert len(second) == 1
         match = second[0].matches[0]
         assert match.donor == donor.id and match.receiver == receiver.id
-        engine.apply_decisions([(second[0], True)], 665)
+        engine.apply_decisions([(second[0], True)])
         assert second[0].status is MatchStatus.ACCEPTED
 
     def test_expired_triple_rematches_after_deadline(self):

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, strategies as st
 
+from foodmatch.engine import ca_dtb
+
 from foodmatch.model import (
     DonationRequest,
     FoodTaxonomy,
@@ -18,10 +20,6 @@ from foodmatch.model import (
     Thresholds,
     TimeWindow,
     VolunteerRequest,
-    next_arrival_seq,
-    perishability,
-    tie_break_compare,
-    tie_break_key,
 )
 
 
@@ -36,20 +34,20 @@ class TestSequencer:
     def test_concurrent_calls_unique(self):
         seq = Sequencer()
         with ThreadPoolExecutor(max_workers=16) as pool:
-            values = list(pool.map(lambda _: next_arrival_seq(seq), range(1000)))
+            values = list(pool.map(lambda _: seq.next(), range(1000)))
         assert len(set(values)) == 1000
         assert max(values) - min(values) == 999
 
 
 class TestTaxonomy:
     def test_mixed_is_perishable(self):
-        assert perishability(FoodTaxonomy(), FoodType.MIXED) is Perishability.PERISHABLE
+        assert FoodTaxonomy().perishability(FoodType.MIXED) is Perishability.PERISHABLE
 
     def test_packaged_solid_nonperishable(self):
-        assert perishability(FoodTaxonomy(), FoodType.PACKAGED_SOLID) is Perishability.NON_PERISHABLE
+        assert FoodTaxonomy().perishability(FoodType.PACKAGED_SOLID) is Perishability.NON_PERISHABLE
 
     def test_freshly_cooked_perishable(self):
-        assert perishability(FoodTaxonomy(), FoodType.FRESHLY_COOKED) is Perishability.PERISHABLE
+        assert FoodTaxonomy().perishability(FoodType.FRESHLY_COOKED) is Perishability.PERISHABLE
 
     def test_total_over_food_types(self):
         taxonomy = FoodTaxonomy()
@@ -67,32 +65,54 @@ class TestTaxonomy:
 
 
 class TestTieBreak:
-    def test_earlier_event_time_first(self):
-        assert tie_break_compare((100, 7), (90, 2)) == 1
+    """The system-wide (event time, arrival) tie-break, as the engine applies
+    it: donors that rank the receiver, and are ranked by it, at the same
+    shared tail differ only in donation start and arrival sequence."""
 
-    def test_equal_event_time_earlier_arrival_first(self):
-        assert tie_break_compare((100, 7), (100, 2)) == 1
-        assert tie_break_compare((100, 2), (100, 7)) == -1
+    @staticmethod
+    def _donor(agent, key):
+        event_time, arrival = key
+        return DonationRequest(
+            id=RequestId(agent, 1), arrival=arrival, location=Location(10, 10),
+            food=FoodType.FRESHLY_COOKED, amount=1000, window=TimeWindow(600 + event_time, 800),
+        )
 
-    def test_duplicate_arrival_rejected(self):
-        with pytest.raises(AssertionError):
-            tie_break_compare((100, 7), (100, 7))
+    def _winner(self, keys):
+        """The key of the donor a one-meal receiver takes among `keys`."""
+        r = RequirementRequest(
+            id=RequestId(50, 1), arrival=10 ** 7, location=Location(11, 10),
+            food=FoodType.FRESHLY_COOKED, amount=1000, window=TimeWindow(820, 980),
+        )
+        donors = [self._donor(agent, key) for agent, key in enumerate(keys, 1)]
+        result = ca_dtb(donors, [r], [], Perishability.PERISHABLE, 660, Thresholds())
+        (match,) = result.completed()
+        return keys[match.donor.agent_id - 1]
+
+    def _engine_order(self, keys):
+        """Keys in the order the engine takes them, one winner at a time."""
+        remaining, order = list(keys), []
+        while remaining:
+            order.append(self._winner(remaining))
+            remaining.remove(order[-1])
+        return order
 
     def test_total_order_on_small_sets(self):
         # antisymmetric, transitive, total: check exhaustively on 6 keys
         keys = [(100, 1), (100, 2), (90, 3), (110, 4), (90, 5), (100, 6)]
         for a, b in itertools.permutations(keys, 2):
-            assert tie_break_compare(a, b) == -tie_break_compare(b, a)
+            assert self._winner([a, b]) == self._winner([b, a])
         for a, b, c in itertools.permutations(keys, 3):
-            if tie_break_compare(a, b) < 0 and tie_break_compare(b, c) < 0:
-                assert tie_break_compare(a, c) < 0
-        assert sorted(keys, key=lambda k: tie_break_key(*k)) == sorted(keys)
+            if self._winner([a, b]) == a and self._winner([b, c]) == b:
+                assert self._winner([a, c]) == a
+        assert self._engine_order(keys) == sorted(keys)
 
-    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 10 ** 6)), min_size=2, max_size=8, unique_by=lambda t: t[1]))
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 10 ** 6)), min_size=2, max_size=8,
+                    unique_by=lambda t: t[1]))
     def test_sort_agrees_with_compare(self, keys):
-        ordered = sorted(keys, key=lambda k: tie_break_key(*k))
+        ordered = self._engine_order(keys)
+        assert ordered == sorted(keys)
         for first, second in zip(ordered, ordered[1:]):
-            assert tie_break_compare(first, second) == -1
+            assert self._winner([second, first]) == first
 
 
 class TestTypes:

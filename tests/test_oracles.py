@@ -23,7 +23,6 @@ from foodmatch.oracles import (
     run_instance,
     sized_instance,
     true_rank,
-    verify_gamma_bound,
 )
 
 TH = Thresholds()
@@ -36,13 +35,13 @@ def record(pct):
 
 class TestGammaBound:
     def test_all_within(self):
-        assert verify_gamma_bound([record(19.9), record(20.0)], TH)
+        assert gamma_violations([record(19.9), record(20.0)], TH) == []
 
     def test_empty_vacuous(self):
-        assert verify_gamma_bound([], TH)
+        assert gamma_violations([], TH) == []
 
     def test_violation_detected(self):
-        assert not verify_gamma_bound([record(20.5)], TH)
+        assert len(gamma_violations([record(20.5)], TH)) == 1
         assert len(gamma_violations([record(20.5), record(3.0)], TH)) == 1
 
 
@@ -174,3 +173,12 @@ class TestMisreports:
         instance = random_instance(2, max_donors=2, max_receivers=2, max_vols=0)
         report = exhaustive_misreports(instance)
         assert report.cases > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known strategyproofness defect: donor 104 (true list 204, 203, 201, 202) "
+        "moves from true rank 2 to 1 by reporting (202, 204); 18 hard gains in all",
+    )
+    def test_known_hard_gain_on_sized_instance(self):
+        report = exhaustive_misreports(sized_instance(194878866301001, 4, 4, 2))
+        assert report.ok(), f"{len(report.hard_violations)} hard gains: {report.hard_violations[0]}"

@@ -104,8 +104,11 @@ class TestSeededRuns:
     def test_grams_conserved_under_rejection(self):
         scenario = generate_scenario(ScenarioConfig(n_requests=300, seed=8))
         report = run_simulation(scenario, acceptance=AcceptanceModel(rejection_probability=0.1, seed=8))
-        assert report.served_grams == report.donated_accepted_grams
+        donated = sum(t.request.amount for t in scenario.requests if isinstance(t.request, DonationRequest))
+        assert report.served_grams == report.credited_grams
         assert report.served_grams == sum(g["grams"] for g in report.accepted_groups)
+        assert report.served_grams <= donated
+        assert report.carried_grams == sum(g["grams"] for g in report.accepted_groups if g["volunteer_agent"] != "")
         assert report.lifecycle_consistent
 
     def test_terminal_states_partition_all_requests(self):
