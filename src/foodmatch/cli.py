@@ -37,10 +37,11 @@ from .output import render_line_chart, write_csv, write_svg
 from .scenario import (
     Scenario,
     ScenarioConfig,
+    finite_number,
     generate_scenario,
     load_scenario,
     save_scenario,
-    scenario_from_json,
+    scenario_from_dict,
 )
 from .simulate import AcceptanceModel, SimReport, run_simulation
 
@@ -361,10 +362,7 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
     minute; without it, the latest gate-opening minute is used.
     """
     payload = json.loads(Path(path).read_text())
-    scenario = scenario_from_json(json.dumps({
-        "config": payload.get("config", {}),
-        "requests": payload.get("requests", []),
-    }))
+    scenario = scenario_from_dict(payload)
     thresholds = scenario.config.thresholds
     donors, receivers, vols = [], [], []
     for arrival, timed in enumerate(scenario.requests, start=1):
@@ -383,13 +381,14 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
         if not opens:
             raise ValueError("empty instance")
         now = max(opens)
-    return Instance(donors=donors, receivers=receivers, vols=vols, now=int(now), thresholds=thresholds)
+    return Instance(donors=donors, receivers=receivers, vols=vols, now=finite_number(now, "at", integral=True),
+                    thresholds=thresholds)
 
 
 def _cmd_oracle(args) -> int:
     try:
         instance = load_instance(args.instance, args.at)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.which == "pareto":

@@ -659,9 +659,11 @@ class MatchingEngine:
         one fate. Rejected groups immediately requeue their requests.
         """
         active: Optional[set[RequestId]] = None
+        decided: set[int] = set()
         for group, accepted in decisions:
             if group.status is not MatchStatus.DISPLAYED:
                 continue
+            decided.add(group.id)
             if accepted:
                 for match in group.matches:
                     match.status = MatchStatus.ACCEPTED
@@ -671,7 +673,7 @@ class MatchingEngine:
                 for match in group.matches:
                     match.status = MatchStatus.REJECTED
                 self._requeue(group.matches, active)
-            self.open_groups = [g for g in self.open_groups if g.id != group.id]
+        self.open_groups = [g for g in self.open_groups if g.id not in decided]
 
     def _requeue(self, matches: Sequence[Match], active: set[RequestId]) -> None:
         """Requeue failed matches one by one; each request they return is

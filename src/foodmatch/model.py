@@ -14,6 +14,7 @@ grams; distances are kilometers. Integer minutes keep tie-breaking exact.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -169,8 +170,21 @@ class Thresholds:
             raise ValueError("reach thresholds must order t_p_nm <= t_p_m <= t_np")
 
 
+class _RequestShell:
+    def __deepcopy__(self, memo: dict) -> "_RequestShell":
+        """A new request with its own ``__dict__`` sharing the field values.
+
+        Safe because every field is an immutable value and a run only
+        rebinds the scalar run-time fields ``arrival``, ``vicinity``,
+        ``remaining_amount`` and ``remaining_payload``, never mutating a
+        field in place. ``copy.deepcopy`` memoizes the result, so shared
+        identity inside one copied structure is kept.
+        """
+        return copy.copy(self)
+
+
 @dataclass
-class DonationRequest:
+class DonationRequest(_RequestShell):
     """One donation meal offer.
 
     vicinity is runtime state: the matching engine recomputes it whenever
@@ -202,7 +216,7 @@ class DonationRequest:
 
 
 @dataclass
-class RequirementRequest:
+class RequirementRequest(_RequestShell):
     """One food requirement. Never split; tracks the unfulfilled remainder."""
 
     id: RequestId
@@ -229,7 +243,7 @@ class RequirementRequest:
 
 
 @dataclass
-class VolunteerRequest:
+class VolunteerRequest(_RequestShell):
     """One transport offer along a fixed start->destination route."""
 
     id: RequestId

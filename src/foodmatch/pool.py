@@ -9,7 +9,7 @@ split meal pieces are ordered among themselves by their fresh sequences.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .model import (
     DonationRequest,
@@ -147,7 +147,7 @@ def submit_request(raw: Request, pool: ActivePool, thresholds: Thresholds) -> li
 def requeue_rejected(
     match: Match,
     pool: ActivePool,
-    already_active: Iterable[RequestId] = (),
+    already_active: Container[RequestId] = frozenset(),
 ) -> list[RequestId]:
     """Return every request involved in a failed match to the pool.
 
@@ -162,23 +162,22 @@ def requeue_rejected(
         raise ValueError(f"illegal requeue: match {match.id} already requeued")
     match.requeued = True
 
-    skip = set(already_active)
     requeued: list[RequestId] = []
 
     donor = pool.lookup(match.donor)
-    if match.donor not in skip and pool.readd(donor):
+    if match.donor not in already_active and pool.readd(donor):
         requeued.append(match.donor)
 
     if match.volunteer is not None:
         volunteer = pool.lookup(match.volunteer)
         volunteer.remaining_payload += match.delivered_amount
-        if match.volunteer not in skip and pool.readd(volunteer):
+        if match.volunteer not in already_active and pool.readd(volunteer):
             requeued.append(match.volunteer)
 
     if match.receiver is not None:
         receiver = pool.lookup(match.receiver)
         receiver.remaining_amount += match.delivered_amount
-        if match.receiver not in skip and pool.readd(receiver):
+        if match.receiver not in already_active and pool.readd(receiver):
             requeued.append(match.receiver)
 
     return requeued

@@ -8,16 +8,18 @@ sites and end near requirement sites: agents of the model volunteer along
 the errands they already run, which is what makes the tight pickup radius
 (a percentage of the route length) operative at all.
 
-The file format is a single JSON object with "config" and "requests" keys;
-request records carry a "type" discriminator, integer-minute times, [x, y]
-kilometer locations, and gram amounts.
+The file format is a single JSON object with "config" and "requests" keys,
+written on one line with sorted keys; request records carry a "type"
+discriminator, integer-minute times, [x, y] kilometer locations, and gram
+amounts. The reader validates every field and accepts any JSON layout.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -370,48 +372,98 @@ def _request_to_record(timed: TimedRequest) -> dict:
     return base
 
 
-def _request_from_record(record: dict) -> TimedRequest:
-    rid = RequestId(int(record["agent_id"]), int(record.get("request_seq", 1)))
-    window = TimeWindow(int(record["window"][0]), int(record["window"][1]))
-    kind = record["type"]
+def finite_number(value, name: str, integral: bool = False):
+    """The value itself when it is an int, or (unless integral) a number
+    that is finite as a float; else ValueError naming the field."""
+    kind = type(value)
+    if kind is int and integral:
+        return value
+    if kind not in (int, float) or integral:
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    # false for NaN, the infinities and ints too large for a float
+    if -sys.float_info.max <= value <= sys.float_info.max:
+        return value
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _numbers(value, name: str, length: Optional[int] = None, integral: bool = False) -> tuple:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = f"{length} " if length is not None else ""
+        raise ValueError(f"{name} must be a list of {size}numbers, got {value!r}")
+    return tuple([finite_number(v, name, integral) for v in value])
+
+
+_REQUIRED = object()
+
+
+def _get(record: dict, name: str, kind, default=_REQUIRED):
+    """Read one field of a request record as an int, str, bool, list of
+    ints, [x, y] location or [start, end] window."""
+    if name not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    value = record[name]
+    if kind is int:
+        return finite_number(value, name, integral=True)
+    if kind is tuple:
+        return _numbers(value, name, integral=True)
+    if kind is Location:
+        return Location(*_numbers(value, name, 2))
+    if kind is TimeWindow:
+        return TimeWindow(*_numbers(value, name, 2, integral=True))
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _request_from_record(record) -> TimedRequest:
+    if not isinstance(record, dict):
+        raise ValueError(f"expected an object, got {type(record).__name__}")
+    rid = RequestId(_get(record, "agent_id", int), _get(record, "request_seq", int, 1))
+    window = _get(record, "window", TimeWindow)
+    kind = _get(record, "type", str)
     if kind == "donation":
         request: Request = DonationRequest(
             id=rid,
             arrival=-1,
-            location=Location(*record["location"]),
-            food=FoodType(record["food"]),
-            amount=int(record["amount"]),
+            location=_get(record, "location", Location),
+            food=FoodType(_get(record, "food", str)),
+            amount=_get(record, "amount", int),
             window=window,
-            packaging=record.get("packaging", ""),
-            prep_or_expiry=int(record.get("prep_or_expiry", 0)),
-            image_ref=record.get("image_ref", ""),
-            preferred_receivers=tuple(record.get("preferred", ())),
+            packaging=_get(record, "packaging", str, ""),
+            prep_or_expiry=_get(record, "prep_or_expiry", int, 0),
+            image_ref=_get(record, "image_ref", str, ""),
+            preferred_receivers=_get(record, "preferred", tuple, ()),
         )
     elif kind == "requirement":
         request = RequirementRequest(
             id=rid,
             arrival=-1,
-            location=Location(*record["location"]),
-            food=FoodType(record["food"]),
-            amount=int(record["amount"]),
+            location=_get(record, "location", Location),
+            food=FoodType(_get(record, "food", str)),
+            amount=_get(record, "amount", int),
             window=window,
-            preferred_donors=tuple(record.get("preferred", ())),
+            preferred_donors=_get(record, "preferred", tuple, ()),
         )
     elif kind == "volunteer":
+        route = _get(record, "route", list)
+        if len(route) != 2:
+            raise ValueError(f"route must hold 2 locations, got {route!r}")
         request = VolunteerRequest(
             id=rid,
             arrival=-1,
-            route_start=Location(*record["route"][0]),
-            route_end=Location(*record["route"][1]),
-            motored=bool(record["motored"]),
-            ac=bool(record["ac"]),
-            payload_capacity=int(record["payload"]),
+            route_start=Location(*_numbers(route[0], "route", 2)),
+            route_end=Location(*_numbers(route[1], "route", 2)),
+            motored=_get(record, "motored", bool),
+            ac=_get(record, "ac", bool),
+            payload_capacity=_get(record, "payload", int),
             window=window,
-            receivers=tuple(record.get("receivers", ())),
+            receivers=_get(record, "receivers", tuple, ()),
         )
     else:
         raise ValueError(f"unknown request type {kind!r}")
-    return TimedRequest(submit_at=int(record["submit_at"]), request=request)
+    return TimedRequest(submit_at=_get(record, "submit_at", int), request=request)
 
 
 _TUPLE_FIELDS = (
@@ -433,16 +485,38 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
-    data = dict(data)
-    if "thresholds" in data:
-        data["thresholds"] = Thresholds(**data["thresholds"])
-    if "food_types" in data:
-        data["food_types"] = tuple(FoodType(v) for v in data["food_types"])
-    for name in _TUPLE_FIELDS:
-        if name in data:
-            data[name] = tuple(data[name])
-    return ScenarioConfig(**data)
+def _check_keys(data, cls, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+
+
+def config_from_dict(data) -> ScenarioConfig:
+    _check_keys(data, ScenarioConfig, "config")
+    defaults = ScenarioConfig()
+    values = {}
+    for name, value in data.items():
+        default = getattr(defaults, name)
+        where = f"config.{name}"
+        if name == "thresholds":
+            _check_keys(value, Thresholds, where)
+            values[name] = Thresholds(**{
+                k: finite_number(v, f"{where}.{k}", integral=isinstance(getattr(default, k), int))
+                for k, v in value.items()
+            })
+        elif name == "food_types":
+            if not isinstance(value, list):
+                raise ValueError(f"{where} must be a list of food types, got {value!r}")
+            values[name] = tuple(FoodType(v) for v in value)
+        elif isinstance(default, tuple):
+            values[name] = _numbers(value, where, integral=all(isinstance(v, int) for v in default))
+        elif default is None and value is None:
+            values[name] = None
+        else:
+            values[name] = finite_number(value, where, integral=not isinstance(default, float))
+    return ScenarioConfig(**values)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -450,14 +524,32 @@ def scenario_to_json(scenario: Scenario) -> str:
         "config": config_to_dict(scenario.config),
         "requests": [_request_to_record(t) for t in scenario.requests],
     }
-    return json.dumps(payload, indent=1, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)
+
+
+def scenario_from_dict(payload) -> Scenario:
+    """Validate a parsed scenario file and build the scenario from it.
+
+    Raises ValueError with a one-line message; a bad request record is named
+    by its index in the "requests" list.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"scenario must be a JSON object, got {type(payload).__name__}")
+    config = config_from_dict(payload.get("config", {}))
+    records = payload.get("requests", [])
+    if not isinstance(records, list):
+        raise ValueError(f"requests must be a list, got {type(records).__name__}")
+    requests = []
+    for index, record in enumerate(records):
+        try:
+            requests.append(_request_from_record(record))
+        except ValueError as exc:
+            raise ValueError(f"request {index}: {exc}") from None
+    return Scenario(config=config, requests=requests)
 
 
 def scenario_from_json(text: str) -> Scenario:
-    payload = json.loads(text)
-    config = config_from_dict(payload.get("config", {}))
-    requests = [_request_from_record(r) for r in payload.get("requests", [])]
-    return Scenario(config=config, requests=requests)
+    return scenario_from_dict(json.loads(text))
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:

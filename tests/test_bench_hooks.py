@@ -5,12 +5,17 @@ name it wraps, instead of failing a traced benchmark run."""
 import sys
 from pathlib import Path
 
+import pytest
+
 from foodmatch import engine
+from foodmatch.scenario import ScenarioConfig, generate_scenario
+from foodmatch.simulate import run_simulation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_wraps_every_name_it_needs():
+@pytest.fixture()
+def installed():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
@@ -21,7 +26,18 @@ def test_benchmark_wraps_every_name_it_needs():
     tracer = Tracer()
     try:
         layers.install(tracer)
-        assert engine.ca_dtb.__wrapped__ is original
+        yield tracer, original
     finally:
         tracer.uninstall()
     assert engine.ca_dtb is original
+
+
+def test_benchmark_wraps_every_name_it_needs(installed):
+    _, original = installed
+    assert engine.ca_dtb.__wrapped__ is original
+
+
+def test_schedule_copy_is_seen_once_per_run(installed):
+    tracer, _ = installed
+    run_simulation(generate_scenario(ScenarioConfig(n_requests=60, seed=2)))
+    assert [span[0] for span in tracer.spans].count("simulate.schedule_copy") == 1

@@ -151,3 +151,47 @@ class TestCheckGamma:
     def test_clean_run_exits_zero(self, small_scenario, capsys):
         assert run_cli("check-gamma", "--scenario", str(small_scenario), "--tick", "10") == 0
         assert "violations 0" in capsys.readouterr().out
+
+
+def _valid_record(**changes):
+    record = {"type": "donation", "agent_id": 1, "submit_at": 0, "window": [700, 720],
+              "location": [10, 10], "food": "packaged_solid", "amount": 1000}
+    record.update(changes)
+    return record
+
+
+MALFORMED = {
+    "top_level_array": ("[]", "JSON object"),
+    "unknown_config_key": (json.dumps({"config": {"bogus": 1}, "requests": [_valid_record()]}), "bogus"),
+    "missing_window": (
+        json.dumps({"requests": [_valid_record(), {k: v for k, v in _valid_record().items() if k != "window"}]}),
+        "request 1: missing field 'window'",
+    ),
+    "string_coordinates": (json.dumps({"requests": [_valid_record(location=["a", "b"])]}), "request 0: location"),
+    "nan_coordinates": (json.dumps({"requests": [_valid_record(location=[float("nan"), 1.0])]}), "request 0: location must be finite"),
+    "huge_int_coordinates": (json.dumps({"requests": [_valid_record(location=[10 ** 400, 1])]}), "request 0: location must be finite"),
+}
+
+
+class TestMalformedInput:
+    """A broken scenario or instance file exits 1 with one line on stderr."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_line_error_and_exit_one(self, case, tmp_path, capsys):
+        text, expected = MALFORMED[case]
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        for argv in (
+            ("run", "--scenario", str(path), "--out", str(tmp_path / "out")),
+            ("oracle", "pareto", "--instance", str(path)),
+        ):
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and expected in err[0], err
+        assert not (tmp_path / "out").exists()
+
+    def test_string_threshold_rejected(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"config": {"thresholds": {"t_o": "15"}}, "requests": [_valid_record()]}))
+        assert run_cli("oracle", "pareto", "--instance", str(path)) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config.thresholds.t_o must be an integer, got '15'"]

@@ -1,5 +1,7 @@
 """Scenario generation: determinism, bounds, coherence, file round-trip."""
 
+import json
+
 import pytest
 
 from foodmatch.model import DonationRequest, RequirementRequest, VolunteerRequest
@@ -130,6 +132,20 @@ class TestRoundTrip:
     def test_unknown_request_type_rejected(self):
         with pytest.raises(ValueError, match="unknown request type"):
             scenario_from_json('{"config": {}, "requests": [{"type": "nonsense", "agent_id": 1, "submit_at": 0, "window": [0, 1]}]}')
+
+    def test_indented_layout_loads_to_the_same_scenario(self):
+        scenario = generate_scenario(ScenarioConfig(n_requests=120, seed=6))
+        text = scenario_to_json(scenario)
+        indented = json.dumps(json.loads(text), indent=1, sort_keys=True)
+        assert "\n" not in text and "\n" in indented
+        assert scenario_from_json(indented) == scenario_from_json(text) == scenario
+
+    def test_single_line_file_is_smaller_than_indented(self, tmp_path):
+        scenario = generate_scenario(ScenarioConfig(n_requests=5000, seed=4))
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+        indented = json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True)
+        assert path.stat().st_size < len(indented.encode())
 
     def test_horizon(self):
         scenario = generate_scenario(ScenarioConfig(n_requests=50, seed=1))
