@@ -12,8 +12,7 @@ from .engine import (
     assign_volunteers,
     ca_dtb,
     club_matches,
-    current_donors,
-    current_receivers,
+    gated,
     match_receivers,
     vicinity_candidate,
 )

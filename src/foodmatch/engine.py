@@ -6,11 +6,12 @@ matcher once per food class, perishable first. Within a class the matcher:
 1. gates donors and receivers by their lead-time windows,
 2. assigns each gated donor the eligible volunteer that maximizes the
    distance the donation can travel, falling back to class defaults,
-3. extracts and augments both sides' preference lists against run-time
-   eligibility,
+3. tests every donor-receiver pair once and, from that one table, extracts
+   and augments both sides' preference lists against run-time eligibility,
+   fixing every position for the rest of the round,
 4. serves receivers in earliest-requirement-end order (configurable), each
-   repeatedly taking the still-available donor that ranks it best, until the
-   requirement is covered or no eligible donor remains.
+   walking its eligible donors presorted best-ranked first and taking those
+   still available, until the requirement is covered or the list runs out.
 
 Position ties are broken by the receiver's own preference order, then by the
 donor's event time, then by the globally unique arrival sequence. Matches
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
 from .geometry import (
@@ -121,20 +122,19 @@ class MatchSet:
 # ---------------------------------------------------------------------------
 
 
-def current_donors(
-    donors: Iterable[DonationRequest], now: int, thresholds: Thresholds
-) -> list[DonationRequest]:
-    """Donors inside their matching lead window [start - t_d, end - t_d]."""
-    t_d = thresholds.t_d
-    return [d for d in donors if d.window.start - t_d <= now <= d.window.end - t_d]
+def lead_minutes(request: Request, thresholds: Thresholds) -> int:
+    """How long before its window a request enters matching: t_d for a
+    donor, t_r for a receiver, none for a volunteer."""
+    if isinstance(request, DonationRequest):
+        return thresholds.t_d
+    if isinstance(request, RequirementRequest):
+        return thresholds.t_r
+    return 0
 
 
-def current_receivers(
-    receivers: Iterable[RequirementRequest], now: int, thresholds: Thresholds
-) -> list[RequirementRequest]:
-    """Receivers inside their search lead window [start - t_r, end - t_r]."""
-    t_r = thresholds.t_r
-    return [r for r in receivers if r.window.start - t_r <= now <= r.window.end - t_r]
+def gated(requests: Iterable[Request], now: int, thresholds: Thresholds) -> list:
+    """Requests whose lead-shifted window [start - lead, end - lead] holds now."""
+    return [r for r in requests if r.window.start <= now + lead_minutes(r, thresholds) <= r.window.end]
 
 
 # ---------------------------------------------------------------------------
@@ -275,103 +275,55 @@ def assign_volunteers(
 
 
 # ---------------------------------------------------------------------------
-# Donor / receiver eligibility and preference positions
+# Donor / receiver eligibility, preference positions, and the receiver loop
 # ---------------------------------------------------------------------------
 
 
-class _PairContext:
-    """Per-iteration pairwise eligibility and preference-position tables.
-
-    Positions are fixed when the receiver loop starts (the preference-update
-    phase); the match loop then only filters by donor availability.
-    """
-
-    def __init__(
-        self,
-        donors: Sequence[DonationRequest],
-        receivers: Sequence[RequirementRequest],
-        volunteers_by_id: dict[RequestId, VolunteerRequest],
-        matches: MatchSet,
-        thresholds: Thresholds,
-        policy: MatchPolicy,
-    ):
-        self.thresholds = thresholds
-        self.raw_mode = policy.preferences == "raw"
-        self.donors = list(donors)
-        self.receivers = list(receivers)
-        self._volunteer_of: dict[RequestId, Optional[VolunteerRequest]] = {}
-        for d in donors:
-            match = matches.get(d.id)
-            vol_id = match.volunteer if match else None
-            self._volunteer_of[d.id] = volunteers_by_id.get(vol_id) if vol_id else None
-        self._donor_tables: dict[RequestId, tuple[dict[int, int], Optional[int]]] = {}
-        self._receiver_tables: dict[RequestId, tuple[dict[int, int], Optional[int]]] = {}
-
-    def pair_eligible(self, d: DonationRequest, r: RequirementRequest) -> bool:
-        if d.window.end > r.window.end:
+def _pair_eligible(
+    d: DonationRequest,
+    r: RequirementRequest,
+    volunteer: Optional[VolunteerRequest],
+    thresholds: Thresholds,
+    raw_mode: bool,
+) -> bool:
+    if d.window.end > r.window.end:
+        return False
+    if distance(r.location, d.location) > d.vicinity:
+        return False
+    if volunteer is not None:
+        if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
             return False
-        if distance(r.location, d.location) > d.vicinity:
+        if not within_dropoff_band(r.location, volunteer_route(volunteer), thresholds.t_l):
             return False
-        volunteer = self._volunteer_of[d.id]
-        if volunteer is not None:
-            if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
-                return False
-            if not within_dropoff_band(r.location, volunteer_route(volunteer), self.thresholds.t_l):
-                return False
-        if self.raw_mode:
-            if d.preferred_receivers and r.id.agent_id not in d.preferred_receivers:
-                return False
-            if r.preferred_donors and d.id.agent_id not in r.preferred_donors:
-                return False
-        return True
+    if raw_mode:
+        if d.preferred_receivers and r.id.agent_id not in d.preferred_receivers:
+            return False
+        if r.preferred_donors and d.id.agent_id not in r.preferred_donors:
+            return False
+    return True
 
-    def _rank_table(
-        self, preferred: Sequence[int], partners: Sequence[Request], eligible: Callable[[Request], bool]
-    ) -> tuple[dict[int, int], Optional[int]]:
-        """Agent-id -> priority position of each partner agent in one
-        request's preference; second item is the shared tail rank (None when
-        unlisted agents cannot be matched, i.e. raw mode with a list)."""
-        if self.raw_mode:
-            if preferred:
-                return {agent: i + 1 for i, agent in enumerate(preferred)}, None
-            return {}, 1
-        eligible_agents = set()
-        for partner in partners:
-            if partner.id.agent_id not in eligible_agents and eligible(partner):
-                eligible_agents.add(partner.id.agent_id)
-        return collapse_ranks(preferred, eligible_agents)
 
-    def donor_position(self, d: DonationRequest, receiver_agent: int) -> Optional[int]:
-        table = self._donor_tables.get(d.id)
-        if table is None:
-            table = self._donor_tables[d.id] = self._rank_table(
-                d.preferred_receivers, self.receivers, lambda r: self.pair_eligible(d, r)
-            )
-        ranks, tail = table
-        return ranks.get(receiver_agent, tail)
-
-    def receiver_rank(self, r: RequirementRequest, donor_agent: int) -> Optional[int]:
-        table = self._receiver_tables.get(r.id)
-        if table is None:
-            table = self._receiver_tables[r.id] = self._rank_table(
-                r.preferred_donors, self.donors, lambda d: self.pair_eligible(d, r)
-            )
-        ranks, tail = table
-        return ranks.get(donor_agent, tail)
+def _rank_table(preferred: Sequence[int], eligible_agents: set[int], raw_mode: bool) -> tuple[dict[int, int], int]:
+    """Agent id -> priority position in one request's preference, and the
+    rank every other eligible agent shares. Raw mode keeps the submitted
+    order; pair eligibility already excludes agents a non-empty list omits."""
+    if raw_mode:
+        return {agent: i + 1 for i, agent in enumerate(preferred)}, 1
+    return collapse_ranks(preferred, eligible_agents)
 
 
 class EligibilityTrace:
-    """Which partner agents each request ever saw as candidates. Feeds the
-    manipulation experiment's exception analysis."""
+    """Which partner agents each agent ever saw as candidates, keyed by
+    agent id. Feeds the manipulation experiments' exception analysis."""
 
     def __init__(self) -> None:
-        self.seen: dict[RequestId, set[int]] = {}
+        self.seen: dict[int, set[int]] = {}
 
-    def record(self, request_id: RequestId, agent_ids: Iterable[int]) -> None:
-        self.seen.setdefault(request_id, set()).update(agent_ids)
-
-    def universe_of(self, request_id: RequestId) -> set[int]:
-        return self.seen.get(request_id, set())
+    def record(self, receiver_agent: int, donor_agents: set[int]) -> None:
+        """One receiver turn: it saw these donor agents and each saw it."""
+        self.seen.setdefault(receiver_agent, set()).update(donor_agents)
+        for agent in donor_agents:
+            self.seen.setdefault(agent, set()).add(receiver_agent)
 
 
 def match_receivers(
@@ -383,56 +335,64 @@ def match_receivers(
     policy: MatchPolicy = MatchPolicy(),
     trace: Optional[EligibilityTrace] = None,
 ) -> MatchSet:
-    """Serve receivers chronologically, each taking the donor that wants it most.
+    """Serve receivers chronologically, each taking the donors that want it most.
 
-    Receivers are processed in ascending requirement end (or start, per
-    policy) order with arrival as tie-break. Each receiver repeatedly takes,
-    among still-available mutually eligible donors, the one ranking it at the
-    minimum priority position; position ties fall back to the receiver's own
-    preference order, the donor event time, and the arrival sequence. The
-    final meal is accepted even when it overshoots the open requirement.
+    Every (donor, receiver) pair is tested once, and both sides' preference
+    positions are fixed before the first receiver is served. Receivers are
+    then processed in ascending requirement end (or start, per policy)
+    order with arrival as tie-break. Each walks its eligible donors sorted
+    by the position the donor gives it, then its own preference order, the
+    donor event time and the arrival sequence, taking every donor still
+    available until its requirement is covered. The final meal is accepted
+    even when it overshoots the open requirement.
     """
     volunteers_by_id = volunteers_by_id or {}
-    context = _PairContext(donors, receivers, volunteers_by_id, matches, thresholds, policy)
+    raw_mode = policy.preferences == "raw"
 
-    market: dict[RequestId, DonationRequest] = {d.id: d for d in donors}
-    sort_key = (
-        (lambda r: (r.window.end, r.arrival))
+    # preference update: donor indices eligible for each receiver, and each
+    # donor's rank table over the receivers it may serve
+    eligible: list[list[int]] = [[] for _ in receivers]
+    donor_tables: list[tuple[dict[int, int], int]] = []
+    provisional: list[Match] = []
+    for k, d in enumerate(donors):
+        match = matches.get(d.id)
+        volunteer = volunteers_by_id.get(match.volunteer) if match and match.volunteer else None
+        agents = set()
+        for r, found in zip(receivers, eligible):
+            if _pair_eligible(d, r, volunteer, thresholds, raw_mode):
+                found.append(k)
+                agents.add(r.id.agent_id)
+        donor_tables.append(_rank_table(d.preferred_receivers, agents, raw_mode))
+        provisional.append(match)
+
+    order = (
+        (lambda pair: (pair[0].window.end, pair[0].arrival))
         if policy.receiver_sort == "end"
-        else (lambda r: (r.window.start, r.arrival))
+        else (lambda pair: (pair[0].window.start, pair[0].arrival))
     )
+    free = [True] * len(donors)
+    for r, found in sorted(zip(receivers, eligible), key=order):
+        available = [k for k in found if free[k]]
+        if r.remaining_amount <= 0 or not available:
+            continue
+        agent = r.id.agent_id
+        if trace is not None:
+            trace.record(agent, {donors[k].id.agent_id for k in available})
+        ranks, tail = _rank_table(r.preferred_donors, {donors[k].id.agent_id for k in found}, raw_mode)
 
-    for r in sorted(receivers, key=sort_key):
-        while r.remaining_amount > 0:
-            best: Optional[DonationRequest] = None
-            best_key: Optional[tuple] = None
-            candidate_agents: set[int] = set()
-            for d in market.values():
-                if not context.pair_eligible(d, r):
-                    continue
-                position = context.donor_position(d, r.id.agent_id)
-                if position is None:
-                    continue
-                own_rank = context.receiver_rank(r, d.id.agent_id)
-                if own_rank is None:
-                    continue
-                candidate_agents.add(d.id.agent_id)
-                key = (position, own_rank, d.event_time, d.arrival)
-                if best_key is None or key < best_key:
-                    best, best_key = d, key
-            if trace is not None and candidate_agents:
-                trace.record(r.id, candidate_agents)
-                agent = r.id.agent_id
-                for d in market.values():
-                    if d.id.agent_id in candidate_agents:
-                        trace.record(d.id, (agent,))
-            if best is None:
-                break
-            match = matches.get(best.id)
+        def key(k: int) -> tuple:
+            d = donors[k]
+            positions, d_tail = donor_tables[k]
+            return (positions.get(agent, d_tail), ranks.get(d.id.agent_id, tail), d.event_time, d.arrival)
+
+        for k in sorted(available, key=key):
+            free[k] = False
+            match = provisional[k]
             match.receiver = r.id
-            match.delivered_amount = best.amount
-            r.remaining_amount -= best.amount
-            del market[best.id]
+            match.delivered_amount = donors[k].amount
+            r.remaining_amount -= donors[k].amount
+            if r.remaining_amount <= 0:
+                break
     return matches
 
 
@@ -470,8 +430,8 @@ def ca_dtb(
     whose requirement is fully covered leave the market; partially covered
     ones carry over.
     """
-    gated_donors = current_donors(donors, now, thresholds)
-    gated_receivers = current_receivers(receivers, now, thresholds)
+    gated_donors = gated(donors, now, thresholds)
+    gated_receivers = gated(receivers, now, thresholds)
     receiver_universe = {r.id.agent_id for r in gated_receivers}
 
     matches = MatchSet()
@@ -553,7 +513,6 @@ class MatchingEngine:
         self.ledger: list[Match] = []
         self.groups: list[DisplayGroup] = []
         self.open_groups: list[DisplayGroup] = []
-        self.retired: dict[RequestId, Request] = {}
         self._match_ids = itertools.count(1)
         self._group_ids = itertools.count(1)
 
@@ -565,17 +524,9 @@ class MatchingEngine:
         return ids
 
     def _retire_lapsed(self, now: int) -> None:
-        th = self.thresholds
-        keep_d = lambda d: now <= d.window.end - th.t_d
-        keep_r = lambda r: now <= r.window.end - th.t_r
-        keep_v = lambda v: now <= v.window.end
-        for name, keep in (("pfd", keep_d), ("npfd", keep_d), ("pfr", keep_r), ("npfr", keep_r), ("v", keep_v)):
-            kept = []
-            for request in getattr(self.carry, name):
-                if keep(request):
-                    kept.append(request)
-                else:
-                    self.retired[request.id] = request
+        """Drop carried requests whose gate has closed for good."""
+        for name in ("pfd", "npfd", "pfr", "npfr", "v"):
+            kept = [r for r in getattr(self.carry, name) if now + lead_minutes(r, self.thresholds) <= r.window.end]
             setattr(self.carry, name, kept)
 
     def _display(self, result: CaDtbResult, food: Perishability, now: int) -> list[DisplayGroup]:

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
-from .engine import (
-    EligibilityTrace,
-    MatchPolicy,
-    ca_dtb,
-    current_donors,
-    current_receivers,
-)
+from .engine import EligibilityTrace, MatchPolicy, ca_dtb, gated
 from .geometry import default_vicinity, distance, volunteer_route, within_dropoff_band
 from .model import (
     DonationRequest,
@@ -130,8 +124,8 @@ class _OracleWorld:
         self.thresholds = instance.thresholds
         self.taxonomy = instance.taxonomy
         self.raw_mode = instance.policy.preferences == "raw"
-        self.gated_donors = current_donors(instance.donors, instance.now, instance.thresholds)
-        self.gated_receivers = current_receivers(instance.receivers, instance.now, instance.thresholds)
+        self.gated_donors = gated(instance.donors, instance.now, instance.thresholds)
+        self.gated_receivers = gated(instance.receivers, instance.now, instance.thresholds)
         vols_by_id = {v.id: v for v in instance.vols}
         self.vicinity: dict[RequestId, float] = {}
         self.volunteer: dict[RequestId, Optional[VolunteerRequest]] = {}
@@ -424,10 +418,7 @@ def exhaustive_misreports(instance: Instance) -> StrategyproofReport:
             achieved = true_rank(true_list, _achieved_partners(matches, agent_id, role))
             report.cases += 1
             if achieved < truthful:
-                universe = set()
-                for request in pool:
-                    if request.id.agent_id == agent_id:
-                        universe |= trace.universe_of(request.id)
+                universe = trace.seen.get(agent_id, set())
                 exception = any(p not in universe for p in truthful_partners) if truthful_partners else True
                 case = MisreportCase(
                     agent_id=agent_id,

@@ -39,10 +39,6 @@ class ActivePool:
         self._submitted_raw_ids: set[RequestId] = set()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._queued)
-
     def lookup(self, request_id: RequestId) -> Request:
         return self._registry[request_id]
 

@@ -11,7 +11,8 @@ the errands they already run, which is what makes the tight pickup radius
 The file format is a single JSON object with "config" and "requests" keys,
 written on one line with sorted keys; request records carry a "type"
 discriminator, integer-minute times, [x, y] kilometer locations, and gram
-amounts. The reader validates every field and accepts any JSON layout.
+amounts. The reader validates every field, keeps every minute inside
+[0, working_end], and accepts any JSON layout.
 """
 
 from __future__ import annotations
@@ -542,9 +543,17 @@ def scenario_from_dict(payload) -> Scenario:
     requests = []
     for index, record in enumerate(records):
         try:
-            requests.append(_request_from_record(record))
+            timed = _request_from_record(record)
+            window = timed.request.window
+            if timed.submit_at < 0 or window.start < 0:
+                raise ValueError(
+                    f"minutes must not be negative, got submit_at {timed.submit_at}, window start {window.start}"
+                )
+            if window.end > config.working_end:
+                raise ValueError(f"window ends at minute {window.end}, past working_end {config.working_end}")
         except ValueError as exc:
             raise ValueError(f"request {index}: {exc}") from None
+        requests.append(timed)
     return Scenario(config=config, requests=requests)
 
 

@@ -216,17 +216,8 @@ def _build_report(
         terminal_states=terminal,
         lifecycle_consistent=consistent,
         accepted_groups=accepted_groups,
-        eligibility_universes=_universes_by_agent(eligibility),
+        eligibility_universes=eligibility.seen if eligibility is not None else {},
     )
-
-
-def _universes_by_agent(eligibility: Optional[EligibilityTrace]) -> dict[int, set[int]]:
-    if eligibility is None:
-        return {}
-    merged: dict[int, set[int]] = {}
-    for rid, agents in eligibility.seen.items():
-        merged.setdefault(rid.agent_id, set()).update(agents)
-    return merged
 
 
 def _terminal_states(engine: MatchingEngine, pool: ActivePool, accepted) -> tuple[dict[str, str], bool]:

@@ -41,3 +41,11 @@ def test_schedule_copy_is_seen_once_per_run(installed):
     tracer, _ = installed
     run_simulation(generate_scenario(ScenarioConfig(n_requests=60, seed=2)))
     assert [span[0] for span in tracer.spans].count("simulate.schedule_copy") == 1
+
+
+def test_engine_layers_are_counted(installed):
+    tracer, _ = installed
+    run_simulation(generate_scenario(ScenarioConfig(n_requests=120, seed=2)))
+    assert tracer.counts["geometry.distance_calls"] > 0
+    assert tracer.counts["geometry.dropoff_band_calls"] > 0
+    assert "engine.match_receivers" in {span[0] for span in tracer.spans}

@@ -170,6 +170,15 @@ MALFORMED = {
     "string_coordinates": (json.dumps({"requests": [_valid_record(location=["a", "b"])]}), "request 0: location"),
     "nan_coordinates": (json.dumps({"requests": [_valid_record(location=[float("nan"), 1.0])]}), "request 0: location must be finite"),
     "huge_int_coordinates": (json.dumps({"requests": [_valid_record(location=[10 ** 400, 1])]}), "request 0: location must be finite"),
+    "window_past_working_day": (
+        json.dumps({"requests": [_valid_record(window=[500, 10_000_000])]}),
+        "request 0: window ends at minute 10000000, past working_end 1439",
+    ),
+    "negative_submit_at": (
+        json.dumps({"requests": [_valid_record(), _valid_record(agent_id=2, submit_at=-5)]}),
+        "request 1: minutes must not be negative",
+    ),
+    "negative_window_start": (json.dumps({"requests": [_valid_record(window=[-10, 720])]}), "request 0: minutes must not be negative"),
 }
 
 

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from foodmatch import engine
 from foodmatch.engine import (
     MatchPolicy,
     MatchSet,
@@ -14,8 +15,8 @@ from foodmatch.engine import (
     ca_dtb,
     club_matches,
     collapse_ranks,
-    current_donors,
-    current_receivers,
+    gated,
+    match_receivers,
     vicinity_candidate,
     volunteer_is_eligible,
 )
@@ -72,21 +73,28 @@ def vol(agent, route=((9.5, 10), (30, 10)), window=(600, 800), payload=5000,
 class TestGating:
     def test_donor_gate(self):
         d = donor(1, window=(600, 720))
-        assert current_donors([d], 480, TH) == [d]
-        assert current_donors([d], 479, TH) == []
-        assert current_donors([d], 600, TH) == [d]
-        assert current_donors([d], 601, TH) == []
+        assert gated([d], 480, TH) == [d]
+        assert gated([d], 479, TH) == []
+        assert gated([d], 600, TH) == [d]
+        assert gated([d], 601, TH) == []
 
     def test_receiver_gate(self):
         r = receiver(50, window=(900, 1020))
-        assert current_receivers([r], 720, TH) == [r]
-        assert current_receivers([r], 719, TH) == []
+        assert gated([r], 720, TH) == [r]
+        assert gated([r], 719, TH) == []
 
     def test_degenerate_receiver_window(self):
         r = receiver(50, window=(900, 900))
-        assert current_receivers([r], 720, TH) == [r]
-        assert current_receivers([r], 721, TH) == []
-        assert current_receivers([r], 719, TH) == []
+        assert gated([r], 720, TH) == [r]
+        assert gated([r], 721, TH) == []
+        assert gated([r], 719, TH) == []
+
+    def test_volunteer_gate_has_no_lead(self):
+        v = vol(90, window=(600, 800))
+        assert gated([v], 600, TH) == [v]
+        assert gated([v], 599, TH) == []
+        assert gated([v], 800, TH) == [v]
+        assert gated([v], 801, TH) == []
 
 
 class TestVolunteerEligibility:
@@ -323,6 +331,20 @@ class TestEndTimeSorting:
         result = ca_dtb(meals, [r1, r2], [], P, 690, TH, policy=MatchPolicy(receiver_sort="start"))
         by_meal = {m.donor.meal_seq: m.receiver for m in result.matches}
         assert by_meal[1] == r1.id
+
+
+class TestPairTable:
+    def test_each_pair_tested_once(self, monkeypatch):
+        donors = [donor(1 + i) for i in range(3)]
+        r = receiver(50, amount=2500)
+        matches, _ = assign_volunteers(donors, [], MatchSet(), P, TH)
+        calls = []
+        real = engine.distance
+        monkeypatch.setattr(engine, "distance", lambda a, b: calls.append((a, b)) or real(a, b))
+        match_receivers([r], donors, matches, TH)
+        assert len(calls) == 3
+        assert [m.receiver for m in matches] == [r.id] * 3
+        assert r.remaining_amount == -500
 
 
 class TestCaDtb:
