@@ -22,8 +22,7 @@ from .experiments import (
     desk_volunteer_sweep_config,
     experiment_allocation_vs_volunteers,
     experiment_manipulation,
-    experiment_preference_updating,
-    experiment_receiver_sorting,
+    experiment_paired_policies,
 )
 from .model import DonationRequest, RequirementRequest, Thresholds
 from .oracles import (
@@ -61,6 +60,21 @@ THRESHOLD_FLAGS = (
     ("--t-r", "t_r", int),
     ("--t-w", "t_w", int),
 )
+
+
+# fig8b and fig8c: (baseline policy, variant policy), CSV column labels, chart title
+PAIRED_EXPERIMENTS = {
+    "fig8b": (
+        (MatchPolicy(receiver_sort="start"), MatchPolicy(receiver_sort="end")),
+        ("start_sort_pct", "end_sort_pct"),
+        "Start vs End Sorting for Receivers",
+    ),
+    "fig8c": (
+        (MatchPolicy(preferences="raw"), MatchPolicy(preferences="eligible")),
+        ("raw_preferences_pct", "eligible_preferences_pct"),
+        "Original vs Eligible Preferences",
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,28 +181,24 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        fractions = tuple(float(f) for f in args.mix.split(","))
-        if len(fractions) != 3:
-            raise ValueError("mix must have three comma-separated fractions")
-        seed = _effective_seed(args)
-        if args.preset == "corridor":
-            config = desk_volunteer_sweep_config(seed=seed, n_requests=args.requests)
-        elif args.preset == "deadlines":
-            config = desk_policy_config(seed=seed, n_requests=args.requests)
-        else:
-            config = ScenarioConfig(
-                n_requests=args.requests,
-                donor_fraction=fractions[0],
-                receiver_fraction=fractions[1],
-                volunteer_fraction=fractions[2],
-                seed=seed,
-            )
-        config = replace(config, thresholds=_thresholds_from_args(args, config.thresholds))
-        scenario = generate_scenario(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fractions = tuple(float(f) for f in args.mix.split(","))
+    if len(fractions) != 3:
+        raise ValueError("mix must have three comma-separated fractions")
+    seed = _effective_seed(args)
+    if args.preset == "corridor":
+        config = desk_volunteer_sweep_config(seed=seed, n_requests=args.requests)
+    elif args.preset == "deadlines":
+        config = desk_policy_config(seed=seed, n_requests=args.requests)
+    else:
+        config = ScenarioConfig(
+            n_requests=args.requests,
+            donor_fraction=fractions[0],
+            receiver_fraction=fractions[1],
+            volunteer_fraction=fractions[2],
+            seed=seed,
+        )
+    config = replace(config, thresholds=_thresholds_from_args(args, config.thresholds))
+    scenario = generate_scenario(config)
     save_scenario(scenario, args.out)
     print(f"wrote {args.out}: {len(scenario.requests)} requests")
     return EXIT_OK
@@ -216,18 +226,14 @@ def _report_rows(report: SimReport) -> list[tuple]:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = _load_scenario_with_overrides(args)
-        seed = _effective_seed(args)
-        report = run_simulation(
-            scenario,
-            policy=_policy_from_args(args),
-            acceptance=_acceptance_from_args(args, seed),
-            orchestrator=OrchestratorConfig(tick_minutes=args.tick),
-        )
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = _load_scenario_with_overrides(args)
+    seed = _effective_seed(args)
+    report = run_simulation(
+        scenario,
+        policy=_policy_from_args(args),
+        acceptance=_acceptance_from_args(args, seed),
+        orchestrator=OrchestratorConfig(tick_minutes=args.tick),
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "report.csv", ("metric", "value"), _report_rows(report))
@@ -266,93 +272,82 @@ def _state_totals(report: SimReport) -> dict[str, int]:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        scenario = _load_scenario_with_overrides(args)
-        config = scenario.config
-        seed = _effective_seed(args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        orchestrator = OrchestratorConfig(tick_minutes=args.tick)
+    scenario = _load_scenario_with_overrides(args)
+    config = scenario.config
+    seed = _effective_seed(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    orchestrator = OrchestratorConfig(tick_minutes=args.tick)
 
-        if args.which == "fig8a":
-            multiples = [float(m) for m in args.multiples.split(",")]
-            points = experiment_allocation_vs_volunteers(
-                config, multiples, orchestrator=orchestrator
-            )
-            write_csv(
-                out / "fig8a.csv",
-                ("multiple", "volunteers", "allocation_pct", "receiver_fulfillment_pct"),
-                [
-                    (p.multiple, p.n_volunteers, round(p.allocation_pct, 4), round(p.receiver_fulfillment_pct, 4))
-                    for p in points
-                ],
-            )
-            svg = render_line_chart(
-                [("allocation", [(p.multiple, p.allocation_pct) for p in points])],
-                "Agent Allocation vs Volunteer Availability",
-                "volunteers (multiples of donors)",
-                "allocation (% of food requests)",
-            )
-            write_svg(out / "fig8a.svg", svg)
-            print(f"wrote {out}/fig8a.csv, fig8a.svg ({len(points)} points)")
-            return EXIT_OK
-
-        seeds = list(range(seed, seed + args.seeds))
-        if args.which == "fig8b":
-            rows = experiment_receiver_sorting(config, seeds, orchestrator=orchestrator)
-            labels = ("start_sort_pct", "end_sort_pct")
-            name = "fig8b"
-            title = "Start vs End Sorting for Receivers"
-        elif args.which == "fig8c":
-            rows = experiment_preference_updating(config, seeds, orchestrator=orchestrator)
-            labels = ("raw_preferences_pct", "eligible_preferences_pct")
-            name = "fig8c"
-            title = "Original vs Eligible Preferences"
-        else:
-            report = experiment_manipulation(config, args.fraction, orchestrator=orchestrator, scenario=scenario)
-            write_csv(
-                out / "fig8d.csv",
-                ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
-                [
-                    (o.agent_id, o.role, o.truthful_rank, o.manipulated_rank, o.gain, int(o.exception))
-                    for o in report.outcomes
-                ],
-            )
-            svg = render_line_chart(
-                [("rank gain", [(i, o.gain) for i, o in enumerate(report.outcomes)])],
-                "Results of Manipulation of Agent Preferences",
-                "manipulator",
-                "true-preference rank gain",
-            )
-            write_svg(out / "fig8d.svg", svg)
-            print(
-                f"wrote {out}/fig8d.csv, fig8d.svg: {report.manipulators} manipulators, "
-                f"mean gain {report.mean_gain:.4f}, exception rate {report.exception_rate_pct:.2f}%, "
-                f"hard violations {len(report.hard_violations)}"
-            )
-            return EXIT_VIOLATION if report.hard_violations else EXIT_OK
-
+    if args.which == "fig8a":
+        multiples = [float(m) for m in args.multiples.split(",")]
+        points = experiment_allocation_vs_volunteers(
+            config, multiples, orchestrator=orchestrator
+        )
         write_csv(
-            out / f"{name}.csv",
-            ("seed",) + labels,
-            [(r.seed, round(r.baseline_pct, 4), round(r.variant_pct, 4)) for r in rows],
+            out / "fig8a.csv",
+            ("multiple", "volunteers", "allocation_pct", "receiver_fulfillment_pct"),
+            [
+                (p.multiple, p.n_volunteers, round(p.allocation_pct, 4), round(p.receiver_fulfillment_pct, 4))
+                for p in points
+            ],
         )
         svg = render_line_chart(
-            [
-                (labels[0], [(r.seed, r.baseline_pct) for r in rows]),
-                (labels[1], [(r.seed, r.variant_pct) for r in rows]),
-            ],
-            title,
-            "seed",
+            [("allocation", [(p.multiple, p.allocation_pct) for p in points])],
+            "Agent Allocation vs Volunteer Availability",
+            "volunteers (multiples of donors)",
             "allocation (% of food requests)",
         )
-        write_svg(out / f"{name}.svg", svg)
-        wins = sum(1 for r in rows if r.variant_pct >= r.baseline_pct)
-        print(f"wrote {out}/{name}.csv, {name}.svg: variant >= baseline on {wins}/{len(rows)} seeds")
+        write_svg(out / "fig8a.svg", svg)
+        print(f"wrote {out}/fig8a.csv, fig8a.svg ({len(points)} points)")
         return EXIT_OK
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+    if args.which == "fig8d":
+        report = experiment_manipulation(config, args.fraction, orchestrator=orchestrator, scenario=scenario)
+        write_csv(
+            out / "fig8d.csv",
+            ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
+            [
+                (o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, int(o.exception))
+                for o in report.outcomes
+            ],
+        )
+        svg = render_line_chart(
+            [("rank gain", [(i, o.gain) for i, o in enumerate(report.outcomes)])],
+            "Results of Manipulation of Agent Preferences",
+            "manipulator",
+            "true-preference rank gain",
+        )
+        write_svg(out / "fig8d.svg", svg)
+        print(
+            f"wrote {out}/fig8d.csv, fig8d.svg: {report.cases} manipulators, "
+            f"mean gain {report.mean_gain:.4f}, exception rate {report.exception_rate_pct:.2f}%, "
+            f"hard violations {len(report.hard_violations)}"
+        )
+        return EXIT_VIOLATION if report.hard_violations else EXIT_OK
+
+    name = args.which
+    (baseline, variant), labels, title = PAIRED_EXPERIMENTS[name]
+    seeds = list(range(seed, seed + args.seeds))
+    rows = experiment_paired_policies(config, seeds, baseline, variant, orchestrator=orchestrator)
+    write_csv(
+        out / f"{name}.csv",
+        ("seed",) + labels,
+        [(r.seed, round(r.baseline_pct, 4), round(r.variant_pct, 4)) for r in rows],
+    )
+    svg = render_line_chart(
+        [
+            (labels[0], [(r.seed, r.baseline_pct) for r in rows]),
+            (labels[1], [(r.seed, r.variant_pct) for r in rows]),
+        ],
+        title,
+        "seed",
+        "allocation (% of food requests)",
+    )
+    write_svg(out / f"{name}.svg", svg)
+    wins = sum(1 for r in rows if r.variant_pct >= r.baseline_pct)
+    print(f"wrote {out}/{name}.csv, {name}.svg: variant >= baseline on {wins}/{len(rows)} seeds")
+    return EXIT_OK
 
 
 def load_instance(path: str, at: Optional[int] = None) -> Instance:
@@ -386,11 +381,7 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        instance = load_instance(args.instance, args.at)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    instance = load_instance(args.instance, args.at)
     if args.which == "pareto":
         matches, _ = run_instance(instance)
         verdict = brute_force_pareto_oracle(instance, matches)
@@ -411,16 +402,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_gamma(args) -> int:
-    try:
-        scenario = _load_scenario_with_overrides(args)
-        report = run_simulation(
-            scenario,
-            acceptance=AcceptanceModel(seed=_effective_seed(args)),
-            orchestrator=OrchestratorConfig(tick_minutes=args.tick),
-        )
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = _load_scenario_with_overrides(args)
+    report = run_simulation(
+        scenario,
+        acceptance=AcceptanceModel(seed=_effective_seed(args)),
+        orchestrator=OrchestratorConfig(tick_minutes=args.tick),
+    )
     bad = gamma_violations(report.deliveries, scenario.config.thresholds)
     bound = 4.0 * scenario.config.thresholds.t_l
     worst = max((d.overhead_pct for d in report.deliveries), default=0.0)
@@ -431,24 +418,27 @@ def _cmd_check_gamma(args) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
+COMMANDS = {
+    "generate": _cmd_generate,
+    "run": _cmd_run,
+    "experiment": _cmd_experiment,
+    "oracle": _cmd_oracle,
+    "check-gamma": _cmd_check_gamma,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "check-gamma":
-        return _cmd_check_gamma(args)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
+    try:
+        return COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        # bad input, unwritable outputs and over-cap oracle instances
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

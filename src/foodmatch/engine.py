@@ -490,7 +490,7 @@ def club_matches(matches: Sequence[Match]) -> list[list[Match]]:
 
 
 class MatchingEngine:
-    """Holds the carry lists and match ledger across iterations.
+    """Holds the carry lists and displayed groups across iterations.
 
     The simulator owns the clock and the acceptance decisions; the engine
     owns classification, matching, display, expiry, and requeueing.
@@ -510,7 +510,6 @@ class MatchingEngine:
         self.policy = policy
         self.trace = trace
         self.carry = ClassifiedLists()
-        self.ledger: list[Match] = []
         self.groups: list[DisplayGroup] = []
         self.open_groups: list[DisplayGroup] = []
         self._match_ids = itertools.count(1)
@@ -535,7 +534,6 @@ class MatchingEngine:
             for match in bundle:
                 match.status = MatchStatus.DISPLAYED
                 match.created_at = now
-                self.ledger.append(match)
             group = DisplayGroup(
                 id=next(self._group_ids),
                 donor_agent=bundle[0].donor.agent_id,

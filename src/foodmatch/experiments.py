@@ -10,12 +10,12 @@ comparison a controlled experiment rather than two unrelated draws.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .engine import MatchPolicy, OrchestratorConfig
 from .model import DonationRequest, FoodType, RequirementRequest
-from .oracles import true_rank
+from .oracles import MisreportReport, partner_index, score_misreport
 from .scenario import Scenario, ScenarioConfig, TimedRequest, generate_scenario, with_volunteer_count
 from .simulate import AcceptanceModel, SimReport, run_simulation
 
@@ -133,88 +133,33 @@ class PairedRun:
     variant_pct: float
 
 
-def experiment_receiver_sorting(
+def experiment_paired_policies(
     config: ScenarioConfig,
     seeds: Sequence[int],
+    baseline: MatchPolicy,
+    variant: MatchPolicy,
     acceptance: AcceptanceModel = AcceptanceModel(),
     orchestrator: OrchestratorConfig = OrchestratorConfig(),
 ) -> list[PairedRun]:
-    """Start-sorted versus end-sorted receivers on the same scenarios.
+    """The baseline policy against the variant on the same scenario per seed.
 
-    Both runs use eligibility-updated preferences; only the serving order
-    changes.
+    fig8b pairs start-sorted with end-sorted receivers, both on
+    eligibility-updated preferences; fig8c pairs submitted (raw) with
+    eligibility-updated preferences, both end-sorted.
     """
     rows = []
     for seed in seeds:
         scenario = generate_scenario(replace(config, seed=seed))
-        start = run_simulation(scenario, MatchPolicy(receiver_sort="start"), acceptance, orchestrator)
-        end = run_simulation(scenario, MatchPolicy(receiver_sort="end"), acceptance, orchestrator)
+        baseline_run = run_simulation(scenario, baseline, acceptance, orchestrator)
+        variant_run = run_simulation(scenario, variant, acceptance, orchestrator)
         rows.append(
             PairedRun(
                 seed=seed,
-                baseline_pct=start.allocation["food_requests"],
-                variant_pct=end.allocation["food_requests"],
+                baseline_pct=baseline_run.allocation["food_requests"],
+                variant_pct=variant_run.allocation["food_requests"],
             )
         )
     return rows
-
-
-def experiment_preference_updating(
-    config: ScenarioConfig,
-    seeds: Sequence[int],
-    acceptance: AcceptanceModel = AcceptanceModel(),
-    orchestrator: OrchestratorConfig = OrchestratorConfig(),
-) -> list[PairedRun]:
-    """Submitted (raw) versus eligibility-updated preferences, end-sorted."""
-    rows = []
-    for seed in seeds:
-        scenario = generate_scenario(replace(config, seed=seed))
-        raw = run_simulation(scenario, MatchPolicy(preferences="raw"), acceptance, orchestrator)
-        eligible = run_simulation(scenario, MatchPolicy(preferences="eligible"), acceptance, orchestrator)
-        rows.append(
-            PairedRun(
-                seed=seed,
-                baseline_pct=raw.allocation["food_requests"],
-                variant_pct=eligible.allocation["food_requests"],
-            )
-        )
-    return rows
-
-
-@dataclass
-class ManipulatorOutcome:
-    agent_id: int
-    role: str
-    truthful_rank: int
-    manipulated_rank: int
-    gain: int
-    exception: bool
-
-
-@dataclass
-class ManipulationReport:
-    manipulators: int
-    outcomes: list[ManipulatorOutcome] = field(default_factory=list)
-
-    @property
-    def improvements(self) -> list[ManipulatorOutcome]:
-        return [o for o in self.outcomes if o.gain > 0]
-
-    @property
-    def hard_violations(self) -> list[ManipulatorOutcome]:
-        return [o for o in self.improvements if not o.exception]
-
-    @property
-    def exception_rate_pct(self) -> float:
-        if not self.manipulators:
-            return 0.0
-        return 100.0 * sum(1 for o in self.improvements if o.exception) / self.manipulators
-
-    @property
-    def mean_gain(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return sum(o.gain for o in self.outcomes) / len(self.outcomes)
 
 
 def _misreport_list(rng: random.Random, original: tuple[int, ...]) -> tuple[int, ...]:
@@ -262,16 +207,12 @@ def manipulate_scenario(
     return Scenario(config=scenario.config, requests=requests), manipulators
 
 
-def _partners_by_agent(report: SimReport) -> dict[tuple[int, str], list[int]]:
-    partners: dict[tuple[int, str], list[int]] = {}
-    for group in report.accepted_groups:
-        donor_agent = group["donor_agent"]
-        receiver_agent = group["receiver_agent"]
-        if receiver_agent == "":
-            continue
-        partners.setdefault((donor_agent, "donor"), []).append(receiver_agent)
-        partners.setdefault((receiver_agent, "receiver"), []).append(donor_agent)
-    return partners
+def _accepted_pairs(report: SimReport):
+    return (
+        (group["donor_agent"], group["receiver_agent"])
+        for group in report.accepted_groups
+        if group["receiver_agent"] != ""
+    )
 
 
 def experiment_manipulation(
@@ -280,14 +221,12 @@ def experiment_manipulation(
     acceptance: AcceptanceModel = AcceptanceModel(),
     orchestrator: OrchestratorConfig = OrchestratorConfig(),
     scenario: Optional[Scenario] = None,
-) -> ManipulationReport:
+) -> MisreportReport:
     """Bulk preference manipulation against the truthful baseline.
 
     Each manipulator's outcome is scored by its true preference list in both
-    runs; gain is truthful rank minus manipulated rank, so positive means
-    the lie helped. Gains are excused as availability artifacts (exceptions)
-    only when the truthful partners never entered the manipulator's
-    eligibility universe during the manipulated run.
+    runs with the misreport probe's scorer; gain is truthful rank minus
+    manipulated rank, so positive means the lie helped.
     """
     scenario = scenario if scenario is not None else generate_scenario(config)
     manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=config.seed)
@@ -303,30 +242,16 @@ def experiment_manipulation(
         elif isinstance(request, RequirementRequest):
             true_lists[(request.id.agent_id, "receiver")] = request.preferred_donors
 
-    truthful_partners = _partners_by_agent(truthful_report)
-    manip_partners = _partners_by_agent(manip_report)
+    truthful = partner_index(_accepted_pairs(truthful_report))
+    manipulated_partners = partner_index(_accepted_pairs(manip_report))
 
-    report = ManipulationReport(manipulators=len(manipulators))
-    for agent_id, role, _fake in manipulators:
+    report = MisreportReport()
+    for agent_id, role, fake in manipulators:
         key = (agent_id, role)
-        true_list = true_lists.get(key, ())
-        t_partners = truthful_partners.get(key, [])
-        m_partners = manip_partners.get(key, [])
-        t_rank = true_rank(true_list, t_partners)
-        m_rank = true_rank(true_list, m_partners)
-        gain = t_rank - m_rank
-        exception = False
-        if gain > 0:
-            universe = manip_report.eligibility_universes.get(agent_id, set())
-            exception = (not t_partners) or any(p not in universe for p in t_partners)
-        report.outcomes.append(
-            ManipulatorOutcome(
-                agent_id=agent_id,
-                role=role,
-                truthful_rank=t_rank,
-                manipulated_rank=m_rank,
-                gain=gain,
-                exception=exception,
-            )
-        )
+        report.outcomes.append(score_misreport(
+            agent_id, role, fake, true_lists.get(key, ()),
+            truthful.get(key, []),
+            manipulated_partners.get(key, []),
+            manip_report.eligibility_universes.get(agent_id, ()),
+        ))
     return report

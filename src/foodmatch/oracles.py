@@ -6,12 +6,13 @@ against the full enumeration, independently of the engine's selection path:
 
 - the off-routing bound: every recorded delivery stays within four times the
   per-end off-routing allowance;
-- the assignment oracle: enumerating every feasible donor-to-receiver
-  assignment, the produced matching must be maximal (no feasible pair left
-  wholly unused) and justified (no receiver assigned a donor while an
-  unmatched eligible donor ranked that receiver strictly better), so no
-  enumerated alternative can improve a left-out donor's rank without taking
-  a matched donor's assignment for a strictly worse-ranked one;
+- the assignment oracle: against every feasible donor-to-receiver
+  assignment, the produced matching must be feasible itself, maximal (no
+  feasible pair left wholly unused) and justified (no receiver assigned a
+  donor while an unmatched eligible donor ranked that receiver strictly
+  better), so no enumerated alternative can improve a left-out donor's rank
+  without taking a matched donor's assignment for a strictly worse-ranked
+  one;
 - the misreport probe: exhaustively rerunning an instance under every
   unilateral preference-list misreport, an agent's achieved rank measured by
   its true preferences must never strictly improve unless the truthful
@@ -24,7 +25,7 @@ import copy
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
 from .engine import EligibilityTrace, MatchPolicy, ca_dtb, gated
@@ -200,7 +201,8 @@ def _receiver_load_feasible(amount: int, meals: Sequence[int]) -> bool:
 def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> OracleVerdict:
     """Check the produced matching against every feasible assignment.
 
-    Flags a counterexample assignment whenever the enumeration can improve a
+    Flags a produced pair that the enumeration would not admit, and a
+    counterexample assignment whenever the enumeration can improve a
     donor that the produced matching left unmatched, either onto spare
     receiver demand (the produced matching was not maximal) or in place of a
     strictly worse-ranked matched donor (a selection was not justified).
@@ -213,8 +215,25 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     world = _OracleWorld(instance, produced)
     donors = world.gated_donors
     receivers = world.gated_receivers
+    donors_by_id = {d.id: d for d in donors}
+    receivers_by_id = {r.id: r for r in receivers}
     produced_pairs = {m.donor: m.receiver for m in produced if m.receiver is not None}
     matched_donor_ids = set(produced_pairs)
+
+    # feasibility: the checks below compare against alternatives under the
+    # same predicates, so every produced pair must itself satisfy them (a
+    # feasible pair between gated requests always has a donor position)
+    for m in produced:
+        if m.receiver is None:
+            continue
+        d = donors_by_id.get(m.donor)
+        r = receivers_by_id.get(m.receiver)
+        if d is None or r is None or not world.pair_feasible(d, r):
+            return OracleVerdict(
+                ok=False,
+                reason="produced pair is infeasible",
+                counterexample={"donor": str(m.donor), "receiver": str(m.receiver)},
+            )
 
     load: dict[RequestId, int] = {r.id: 0 for r in receivers}
     for m in produced:
@@ -245,20 +264,16 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
 
     # justified selection: swapping in an unmatched donor that ranks the
     # receiver strictly better than the donor it got
-    donors_by_id = {d.id: d for d in donors}
     for donor_id, receiver_id in produced_pairs.items():
-        matched_donor = donors_by_id.get(donor_id)
-        receiver = next((r for r in receivers if r.id == receiver_id), None)
-        if matched_donor is None or receiver is None:
-            continue
-        matched_position = world.donor_position(matched_donor, receiver.id.agent_id)
+        receiver = receivers_by_id[receiver_id]
+        matched_position = world.donor_position(donors_by_id[donor_id], receiver.id.agent_id)
         for d in donors:
             if d.id in matched_donor_ids:
                 continue
             if not world.pair_feasible(d, receiver):
                 continue
             position = world.donor_position(d, receiver.id.agent_id)
-            if position is None or matched_position is None:
+            if position is None:
                 continue
             if position < matched_position:
                 better = dict(produced_pairs)
@@ -290,55 +305,45 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     return OracleVerdict(ok=True)
 
 
-def enumerate_feasible_assignments(instance: Instance, produced: Sequence[Match]) -> list[dict]:
-    """All feasible donor-to-receiver assignments under the instance's
-    predicates (with transport frozen as produced). Exponential; guarded by
-    the oracle size caps."""
-    if len(instance.donors) > MAX_ORACLE_DONORS or len(instance.receivers) > MAX_ORACLE_RECEIVERS:
-        raise ValueError("instance too large for exhaustive enumeration")
-    world = _OracleWorld(instance, produced)
-    donors = world.gated_donors
-    receivers = world.gated_receivers
-    options: list[list[Optional[RequestId]]] = []
-    for d in donors:
-        feasible: list[Optional[RequestId]] = [None]
-        for r in receivers:
-            if world.pair_feasible(d, r) and world.donor_position(d, r.id.agent_id) is not None:
-                feasible.append(r.id)
-        options.append(feasible)
-    amounts = {r.id: r.amount for r in receivers}
-    out = []
-    for combo in itertools.product(*options):
-        loads: dict[RequestId, list[int]] = {}
-        for d, rid in zip(donors, combo):
-            if rid is not None:
-                loads.setdefault(rid, []).append(d.amount)
-        if all(_receiver_load_feasible(amounts[rid], meals) for rid, meals in loads.items()):
-            out.append({d.id: rid for d, rid in zip(donors, combo) if rid is not None})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Misreport probe
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class MisreportCase:
+    """One agent's outcome under one misreport, ranked by its true list."""
+
     agent_id: int
     role: str
     misreport: tuple[int, ...]
     truthful_rank: int
     misreport_rank: int
-    gain: int
     exception: bool
+
+    @property
+    def gain(self) -> int:
+        """Positive when the misreport earned a better true rank."""
+        return self.truthful_rank - self.misreport_rank
 
 
 @dataclass
-class StrategyproofReport:
-    cases: int = 0
-    improvements: list[MisreportCase] = field(default_factory=list)
-    exceptions: list[MisreportCase] = field(default_factory=list)
+class MisreportReport:
+    """Every scored misreport, in the order tried."""
+
+    outcomes: list[MisreportCase] = field(default_factory=list)
+
+    @property
+    def cases(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def improvements(self) -> list[MisreportCase]:
+        return [c for c in self.outcomes if c.gain > 0]
+
+    @property
+    def exceptions(self) -> list[MisreportCase]:
+        return [c for c in self.outcomes if c.exception]
 
     @property
     def hard_violations(self) -> list[MisreportCase]:
@@ -346,6 +351,18 @@ class StrategyproofReport:
 
     def ok(self) -> bool:
         return not self.hard_violations
+
+    @property
+    def mean_gain(self) -> float:
+        if not self.outcomes:
+            return 0.0
+        return sum(c.gain for c in self.outcomes) / len(self.outcomes)
+
+    @property
+    def exception_rate_pct(self) -> float:
+        if not self.outcomes:
+            return 0.0
+        return 100.0 * len(self.exceptions) / len(self.outcomes)
 
 
 def true_rank(true_list: Sequence[int], partners: Sequence[int]) -> int:
@@ -366,16 +383,41 @@ def true_rank(true_list: Sequence[int], partners: Sequence[int]) -> int:
     return best
 
 
-def _achieved_partners(matches: Sequence[Match], agent_id: int, role: str) -> list[int]:
-    partners = []
-    for m in matches:
-        if m.receiver is None:
-            continue
-        if role == "donor" and m.donor.agent_id == agent_id:
-            partners.append(m.receiver.agent_id)
-        elif role == "receiver" and m.receiver.agent_id == agent_id:
-            partners.append(m.donor.agent_id)
+def partner_index(pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, str], list[int]]:
+    """Each agent's partners, keyed by (agent id, role), from (donor agent,
+    receiver agent) pairs."""
+    partners: dict[tuple[int, str], list[int]] = {}
+    for donor_agent, receiver_agent in pairs:
+        partners.setdefault((donor_agent, "donor"), []).append(receiver_agent)
+        partners.setdefault((receiver_agent, "receiver"), []).append(donor_agent)
     return partners
+
+
+def score_misreport(
+    agent_id: int,
+    role: str,
+    misreport: Sequence[int],
+    true_list: Sequence[int],
+    truthful_partners: Sequence[int],
+    misreport_partners: Sequence[int],
+    universe: Container[int],
+) -> MisreportCase:
+    """Score one misreport by the agent's true list.
+
+    A gain is excused as an availability exception when the agent had no
+    truthful partner, or when some truthful partner never entered the
+    agent's eligibility universe in the manipulated run.
+    """
+    truthful = true_rank(true_list, truthful_partners)
+    achieved = true_rank(true_list, misreport_partners)
+    exception = achieved < truthful and (
+        not truthful_partners or any(p not in universe for p in truthful_partners)
+    )
+    return MisreportCase(agent_id, role, tuple(misreport), truthful, achieved, exception)
+
+
+def _matched_pairs(matches: Sequence[Match]):
+    return ((m.donor.agent_id, m.receiver.agent_id) for m in matches if m.receiver is not None)
 
 
 def _misreports(universe: Sequence[int], cap: int = 4) -> list[tuple[int, ...]]:
@@ -387,11 +429,12 @@ def _misreports(universe: Sequence[int], cap: int = 4) -> list[tuple[int, ...]]:
     return out
 
 
-def exhaustive_misreports(instance: Instance) -> StrategyproofReport:
+def exhaustive_misreports(instance: Instance) -> MisreportReport:
     """Try every unilateral preference-list misreport on every donor and
-    receiver of a small instance; report any true-preference gain."""
-    report = StrategyproofReport()
+    receiver of a small instance and score each by the agent's true list."""
+    report = MisreportReport()
     base_matches, _ = run_instance(instance)
+    truthful = partner_index(_matched_pairs(base_matches))
 
     sides = [("donor", d) for d in instance.donors] + [("receiver", r) for r in instance.receivers]
     opposite = {
@@ -400,38 +443,23 @@ def exhaustive_misreports(instance: Instance) -> StrategyproofReport:
     }
     for role, agent in sides:
         agent_id = agent.id.agent_id
-        true_list = agent.preferred_receivers if role == "donor" else agent.preferred_donors
-        truthful = true_rank(true_list, _achieved_partners(base_matches, agent_id, role))
-        truthful_partners = _achieved_partners(base_matches, agent_id, role)
+        listed = "preferred_receivers" if role == "donor" else "preferred_donors"
+        true_list = getattr(agent, listed)
         for misreport in _misreports(opposite[role]):
             if tuple(misreport) == tuple(true_list):
                 continue
             variant = instance.clone()
-            pool = variant.donors if role == "donor" else variant.receivers
-            for request in pool:
+            for request in variant.donors if role == "donor" else variant.receivers:
                 if request.id.agent_id == agent_id:
-                    if role == "donor":
-                        request.preferred_receivers = misreport
-                    else:
-                        request.preferred_donors = misreport
+                    setattr(request, listed, misreport)
             matches, trace = run_instance(variant)
-            achieved = true_rank(true_list, _achieved_partners(matches, agent_id, role))
-            report.cases += 1
-            if achieved < truthful:
-                universe = trace.seen.get(agent_id, set())
-                exception = any(p not in universe for p in truthful_partners) if truthful_partners else True
-                case = MisreportCase(
-                    agent_id=agent_id,
-                    role=role,
-                    misreport=tuple(misreport),
-                    truthful_rank=truthful,
-                    misreport_rank=achieved,
-                    gain=truthful - achieved,
-                    exception=exception,
-                )
-                report.improvements.append(case)
-                if exception:
-                    report.exceptions.append(case)
+            misreported = partner_index(_matched_pairs(matches))
+            report.outcomes.append(score_misreport(
+                agent_id, role, misreport, true_list,
+                truthful.get((agent_id, role), []),
+                misreported.get((agent_id, role), []),
+                trace.seen.get(agent_id, ()),
+            ))
     return report
 
 

@@ -146,7 +146,8 @@ def _build_report(
         else:
             volunteers.append(request)
 
-    accepted = [m for m in engine.ledger if m.status is MatchStatus.ACCEPTED]
+    matches = [m for group in engine.groups for m in group.matches]
+    accepted = [m for m in matches if m.status is MatchStatus.ACCEPTED]
     accepted_donor_requests = {(m.donor.agent_id, m.donor.request_seq) for m in accepted}
     accepted_receivers = {m.receiver for m in accepted if m.receiver is not None}
     accepted_receiver_requests = {(r.agent_id, r.request_seq) for r in accepted_receivers}
@@ -173,7 +174,7 @@ def _build_report(
     requested = sum(r.amount for r in receivers)
 
     match_counts: dict[str, int] = {status.value: 0 for status in MatchStatus}
-    for match in engine.ledger:
+    for match in matches:
         match_counts[match.status.value] += 1
 
     terminal, consistent = _terminal_states(engine, pool, accepted)
@@ -193,7 +194,7 @@ def _build_report(
         if g.status is MatchStatus.ACCEPTED
     ]
 
-    # grams read off the live requests, independently of the match ledger
+    # grams read off the live requests, independently of the displayed matches
     meal_count = credited = carried = 0
     for rid in pool.all_registered():
         request = pool.lookup(rid)

@@ -16,8 +16,7 @@ from foodmatch.experiments import (
     desk_volunteer_sweep_config,
     experiment_allocation_vs_volunteers,
     experiment_manipulation,
-    experiment_preference_updating,
-    experiment_receiver_sorting,
+    experiment_paired_policies,
 )
 from foodmatch.model import (
     DonationRequest,
@@ -87,7 +86,9 @@ def test_criterion_2_allocation_vs_volunteers_shape():
 
 
 def test_criterion_3_end_sorting_dominates():
-    rows = experiment_receiver_sorting(desk_policy_config(), seeds=range(100))
+    rows = experiment_paired_policies(
+        desk_policy_config(), range(100), MatchPolicy(receiver_sort="start"), MatchPolicy(receiver_sort="end")
+    )
     wins = sum(1 for r in rows if r.variant_pct >= r.baseline_pct - 0.5)
     ok = wins >= 95
     report_line(
@@ -98,7 +99,9 @@ def test_criterion_3_end_sorting_dominates():
 
 
 def test_criterion_4_eligible_preferences_dominate():
-    rows = experiment_preference_updating(desk_policy_config(), seeds=range(100))
+    rows = experiment_paired_policies(
+        desk_policy_config(), range(100), MatchPolicy(preferences="raw"), MatchPolicy(preferences="eligible")
+    )
     wins = sum(1 for r in rows if r.variant_pct >= r.baseline_pct)
     ok = wins >= 95
     report_line(
@@ -128,7 +131,7 @@ def test_criterion_5_misreports_never_help():
         "criterion 5 (strategyproofness)",
         ok,
         f"exhaustive: {cases} misreports, {improvements} improvements, {hard} hard violations; "
-        f"bulk: {bulk.manipulators} manipulators, mean gain {bulk.mean_gain:.4f}, "
+        f"bulk: {bulk.cases} manipulators, mean gain {bulk.mean_gain:.4f}, "
         f"exception rate {bulk.exception_rate_pct:.2f}% (needs < 5%)",
     )
 

@@ -106,6 +106,8 @@ class TestExperiments:
             "--fraction", "25", "--out", str(out), "--tick", "10",
         ) == 0
         assert (out / "fig8d.csv").exists() and (out / "fig8d.svg").exists()
+        header = (out / "fig8d.csv").read_text().splitlines()[0]
+        assert header == "agent_id,role,truthful_rank,manipulated_rank,gain,exception"
 
 
 class TestOracleCommands:
@@ -198,6 +200,25 @@ class TestMalformedInput:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and expected in err[0], err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["generate_into_missing_dir", "run_out_is_a_file", "pareto_over_cap"])
+    def test_io_and_over_cap_errors_exit_one(self, case, small_scenario, tmp_path, capsys):
+        if case == "generate_into_missing_dir":
+            argv = ("generate", "--requests", "30", "--out", str(tmp_path / "missing" / "x.json"))
+            expected = "No such file or directory"
+        elif case == "run_out_is_a_file":
+            taken = tmp_path / "taken"
+            taken.write_text("")
+            argv = ("run", "--scenario", str(small_scenario), "--out", str(taken), "--tick", "10")
+            expected = "File exists"
+        else:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({"requests": [_valid_record(agent_id=i) for i in range(1, 7)]}))
+            argv = ("oracle", "pareto", "--instance", str(path))
+            expected = "instance too large for exhaustive enumeration"
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and expected in err[0], err
 
     def test_string_threshold_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -2,12 +2,13 @@
 
 import pytest
 
+from foodmatch.engine import MatchPolicy
 from foodmatch.experiments import (
     desk_policy_config,
     desk_volunteer_sweep_config,
     experiment_allocation_vs_volunteers,
     experiment_manipulation,
-    experiment_receiver_sorting,
+    experiment_paired_policies,
     manipulate_scenario,
 )
 from foodmatch.scenario import generate_scenario, with_volunteer_count
@@ -40,7 +41,9 @@ class TestVolunteerSweep:
 
 class TestPairedRuns:
     def test_rows_carry_their_seeds(self):
-        rows = experiment_receiver_sorting(desk_policy_config(n_requests=120), seeds=[3, 4])
+        rows = experiment_paired_policies(
+            desk_policy_config(n_requests=120), [3, 4], MatchPolicy(receiver_sort="start"), MatchPolicy(receiver_sort="end")
+        )
         assert [r.seed for r in rows] == [3, 4]
         for row in rows:
             assert 0.0 <= row.baseline_pct <= 100.0
@@ -82,5 +85,6 @@ class TestManipulation:
     def test_report_counts_every_manipulator(self):
         config = desk_policy_config(seed=7, n_requests=150)
         report = experiment_manipulation(config, fraction=30.0)
-        assert report.manipulators == len(report.outcomes) > 0
-        assert all(o.gain == o.truthful_rank - o.manipulated_rank for o in report.outcomes)
+        _, manipulators = manipulate_scenario(generate_scenario(config), 30.0, seed=7)
+        assert report.cases == len(report.outcomes) == len(manipulators) > 0
+        assert all(o.gain == o.truthful_rank - o.misreport_rank for o in report.outcomes)

@@ -1,10 +1,19 @@
-"""Golden digests of the matcher's outputs.
+"""Golden digests of the matcher's and the analysis layer's outputs.
 
-The digests were recorded with a matcher that rescanned the whole market on
-every round of every receiver. Any rewrite of the class round must reproduce
-them exactly: they pin who is matched with whom, through which volunteer and
-with which reach, and which partners each agent saw as eligible, on
-instances far past the exhaustive oracles' 5/5/3 caps.
+The matcher digests were recorded with a matcher that rescanned the whole
+market on every round of every receiver. Any rewrite of the class round must
+reproduce them exactly: they pin who is matched with whom, through which
+volunteer and with which reach, and which partners each agent saw as
+eligible, on instances far past the exhaustive oracles' 5/5/3 caps.
+
+The analysis digests were recorded while the misreport probe and the fig8d
+manipulation experiment each kept their own scorer and fig8b and fig8c each
+their own loop. They pin every fig8d outcome row with its summary figures,
+every case the exhaustive misreport probe tries (seeds 0-5 have no gainful
+misreport under any policy, so "raw-gains" adds three of the five 4/4/2
+instances among seeds 0-24 that have one, all availability exceptions under
+raw preferences; "sized" holds the known hard gain), and the paired
+fig8b/fig8c allocation rows.
 """
 
 import hashlib
@@ -13,7 +22,9 @@ import json
 import pytest
 
 from foodmatch.engine import MatchPolicy
-from foodmatch.oracles import run_instance, sized_instance
+from foodmatch.cli import PAIRED_EXPERIMENTS
+from foodmatch.experiments import desk_policy_config, experiment_manipulation, experiment_paired_policies
+from foodmatch.oracles import exhaustive_misreports, random_instance, run_instance, sized_instance
 from foodmatch.scenario import ScenarioConfig, generate_scenario
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
@@ -36,6 +47,25 @@ INSTANCE_DIGESTS = {
 }
 
 SIMULATION_DIGEST = "96078749b77c230cdfb8baf4f4abb46f45880597495dbba048e74e52abf33aa1"
+
+# (desk-policy city seed, manipulated percentage)
+MANIPULATION_DIGESTS = {
+    (6, 50.0): "72e20c7387f672f8b52e8f01d4e7a721afdcc604b535e435747674ff9cd7d26b",
+    (10, 100.0): "530cbbf4557a6d75613a816f49d9302a6022d8c578491905f7099bf5fa165c3e",
+}
+
+MISREPORT_DIGESTS = {
+    "default": "879c1a46c8111c83d9495c55bed3c730f74a37e11b06fe144d7ae8f4a74b9bb3",
+    "raw": "8fac3eb550f733db752d791febdf5be9d2b91ba80c49227b5c8a75fb5be91d38",
+    "raw-gains": "416359454cbf8a39a137d163bd0a542271e4d682dc943e63286b44a011ff5998",
+    "sized": "9100603b7edd84ba0e4f214e40be6d60a4ada68aaadac53512d1b70de57b0b9c",
+    "start": "879c1a46c8111c83d9495c55bed3c730f74a37e11b06fe144d7ae8f4a74b9bb3",
+}
+
+PAIRED_DIGESTS = {
+    "fig8b": "5a31d7744c22522f1cf3132d4808af691050c857f3d6e362daa2bb2eb1d79a1e",
+    "fig8c": "efe815cdade8840ccb57cc37a61a8853967d0ca7de73fd0aba50d2180e42de44",
+}
 
 
 def _digest(payload) -> str:
@@ -67,6 +97,37 @@ def simulation_payload() -> dict:
     }
 
 
+def manipulation_payload(seed: int, fraction: float) -> dict:
+    report = experiment_manipulation(desk_policy_config(seed=seed, n_requests=200), fraction)
+    rows = [
+        [o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, o.exception]
+        for o in report.outcomes
+    ]
+    return {"rows": rows, "mean_gain": report.mean_gain, "exception_rate_pct": report.exception_rate_pct}
+
+
+def misreport_payload(which: str) -> list:
+    if which == "sized":
+        instances = [sized_instance(194878866301001, 4, 4, 2)]
+    elif which == "raw-gains":
+        instances = [random_instance(seed, 4, 4, 2, policy=POLICIES["raw"]) for seed in (8, 11, 13)]
+    else:
+        instances = [random_instance(seed, 4, 4, 2, policy=POLICIES[which]) for seed in range(6)]
+    return [
+        [
+            [c.agent_id, c.role, list(c.misreport), c.truthful_rank, c.misreport_rank, c.exception]
+            for c in exhaustive_misreports(instance).outcomes
+        ]
+        for instance in instances
+    ]
+
+
+def paired_payload(which: str) -> list:
+    (baseline, variant), _, _ = PAIRED_EXPERIMENTS[which]
+    rows = experiment_paired_policies(desk_policy_config(n_requests=200), [0, 1], baseline, variant)
+    return [[r.seed, r.baseline_pct, r.variant_pct] for r in rows]
+
+
 @pytest.mark.parametrize("policy, seed", sorted(INSTANCE_DIGESTS))
 def test_sized_instance_outputs(policy, seed):
     assert _digest(instance_payload(policy, seed)) == INSTANCE_DIGESTS[policy, seed]
@@ -74,3 +135,18 @@ def test_sized_instance_outputs(policy, seed):
 
 def test_simulation_outputs():
     assert _digest(simulation_payload()) == SIMULATION_DIGEST
+
+
+@pytest.mark.parametrize("seed, fraction", sorted(MANIPULATION_DIGESTS))
+def test_manipulation_outputs(seed, fraction):
+    assert _digest(manipulation_payload(seed, fraction)) == MANIPULATION_DIGESTS[seed, fraction]
+
+
+@pytest.mark.parametrize("which", sorted(MISREPORT_DIGESTS))
+def test_misreport_outputs(which):
+    assert _digest(misreport_payload(which)) == MISREPORT_DIGESTS[which]
+
+
+@pytest.mark.parametrize("which", sorted(PAIRED_DIGESTS))
+def test_paired_policy_outputs(which):
+    assert _digest(paired_payload(which)) == PAIRED_DIGESTS[which]

@@ -1,8 +1,11 @@
 """Brute-force oracles: off-routing bound, assignment enumeration, misreports."""
 
+from dataclasses import replace
+
 import pytest
 
-from foodmatch.geometry import DeliveryRecord
+from foodmatch.engine import MatchPolicy
+from foodmatch.geometry import DeliveryRecord, distance
 from foodmatch.model import (
     DonationRequest,
     FoodType,
@@ -16,7 +19,6 @@ from foodmatch.model import (
 from foodmatch.oracles import (
     Instance,
     brute_force_pareto_oracle,
-    enumerate_feasible_assignments,
     exhaustive_misreports,
     gamma_violations,
     random_instance,
@@ -140,12 +142,22 @@ class TestAssignmentOracle:
                 return  # at least one detection proves the check bites
         pytest.fail("no dropped-pair corruption was ever detected")
 
-    def test_enumeration_contains_produced(self):
-        instance = random_instance(3)
-        matches, _ = run_instance(instance)
-        produced_pairs = {m.donor: m.receiver for m in matches if m.receiver is not None}
-        assignments = enumerate_feasible_assignments(instance, matches)
-        assert produced_pairs in assignments
+    def test_infeasible_produced_pair_flagged(self):
+        # reassign a matched donor to a receiver outside its vicinity: the
+        # produced matching is no longer one the enumeration admits. Under
+        # raw preferences the far receiver is on the donor's list, so only
+        # the feasibility predicate can catch it.
+        for policy in (MatchPolicy(), MatchPolicy(preferences="raw")):
+            instance = random_instance(3, policy=policy)
+            matches, _ = run_instance(instance)
+            match = next(m for m in matches if m.receiver is not None)
+            donor = next(d for d in instance.donors if d.id == match.donor)
+            far = next(r for r in instance.receivers if distance(r.location, donor.location) > match.vicinity)
+            corrupted = [replace(m, receiver=far.id) if m is match else m for m in matches]
+            verdict = brute_force_pareto_oracle(instance, corrupted)
+            assert not verdict.ok, policy
+            assert verdict.reason == "produced pair is infeasible"
+            assert verdict.counterexample == {"donor": str(donor.id), "receiver": str(far.id)}
 
 
 class TestTrueRank:
