@@ -7,7 +7,6 @@ from .engine import (
     EligibilityTrace,
     MatchingEngine,
     MatchPolicy,
-    MatchSet,
     OrchestratorConfig,
     assign_volunteers,
     ca_dtb,
@@ -27,8 +26,8 @@ from .geometry import (
     within_pickup_radius,
 )
 from .model import (
+    PERISHABILITY,
     DonationRequest,
-    FoodTaxonomy,
     FoodType,
     Location,
     Match,

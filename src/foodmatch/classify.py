@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .model import (
+    PERISHABILITY,
     DonationRequest,
-    FoodTaxonomy,
+    Perishability,
     Request,
     RequirementRequest,
     VolunteerRequest,
@@ -34,11 +35,7 @@ class ClassifiedLists:
                 yield request.id
 
 
-def trifurcate(
-    snapshot: Sequence[Request],
-    carry: ClassifiedLists,
-    taxonomy: FoodTaxonomy,
-) -> ClassifiedLists:
+def trifurcate(snapshot: Sequence[Request], carry: ClassifiedLists) -> ClassifiedLists:
     """Append each snapshot request to exactly one list by role and food class."""
     out = ClassifiedLists(
         v=list(carry.v),
@@ -51,12 +48,12 @@ def trifurcate(
         if isinstance(request, VolunteerRequest):
             out.v.append(request)
         elif isinstance(request, DonationRequest):
-            if taxonomy.is_perishable(request.food):
+            if PERISHABILITY[request.food] is Perishability.PERISHABLE:
                 out.pfd.append(request)
             else:
                 out.npfd.append(request)
         elif isinstance(request, RequirementRequest):
-            if taxonomy.is_perishable(request.food):
+            if PERISHABILITY[request.food] is Perishability.PERISHABLE:
                 out.pfr.append(request)
             else:
                 out.npfr.append(request)

@@ -5,7 +5,9 @@ matcher once per food class, perishable first. Within a class the matcher:
 
 1. gates donors and receivers by their lead-time windows,
 2. assigns each gated donor the eligible volunteer that maximizes the
-   distance the donation can travel, falling back to class defaults,
+   distance the donation can travel, falling back to class defaults; that
+   reach lives only in the donor's provisional match, and the round keeps
+   donors, provisional matches and chosen volunteers as aligned rows,
 3. tests every donor-receiver pair once and, from that one table, extracts
    and augments both sides' preference lists against run-time eligibility,
    fixing every position for the rest of the round,
@@ -37,7 +39,6 @@ from .geometry import (
 )
 from .model import (
     DonationRequest,
-    FoodTaxonomy,
     Match,
     MatchStatus,
     Perishability,
@@ -96,27 +97,6 @@ def collapse_ranks(preferred: Sequence[int], eligible_agents: Container[int]) ->
     return ranks, rank + 1
 
 
-class MatchSet:
-    """Matches of one mechanism run, at most one per donor meal request."""
-
-    def __init__(self) -> None:
-        self._by_donor: dict[RequestId, Match] = {}
-
-    def add(self, match: Match) -> None:
-        if match.donor in self._by_donor:
-            raise ValueError(f"donor {match.donor} already has a match")
-        self._by_donor[match.donor] = match
-
-    def get(self, donor_id: RequestId) -> Optional[Match]:
-        return self._by_donor.get(donor_id)
-
-    def __iter__(self) -> Iterator[Match]:
-        return iter(self._by_donor.values())
-
-    def __len__(self) -> int:
-        return len(self._by_donor)
-
-
 # ---------------------------------------------------------------------------
 # Gating
 # ---------------------------------------------------------------------------
@@ -151,7 +131,7 @@ def volunteer_is_eligible(
     d: DonationRequest,
     v: VolunteerRequest,
     thresholds: Thresholds,
-    receiver_universe: Optional[set[int]] = None,
+    receiver_universe: set[int],
 ) -> bool:
     if v.remaining_payload < required_payload(d.amount, thresholds):
         return False
@@ -159,9 +139,8 @@ def volunteer_is_eligible(
         return False
     if not within_pickup_radius(d.location, volunteer_route(v), thresholds.t_l):
         return False
-    if v.receivers and receiver_universe is not None:
-        if not receiver_universe.intersection(v.receivers):
-            return False
+    if v.receivers and not receiver_universe.intersection(v.receivers):
+        return False
     return True
 
 
@@ -207,27 +186,28 @@ class _VolunteerIndex:
 def assign_volunteers(
     donors: Sequence[DonationRequest],
     vols: Sequence[VolunteerRequest],
-    matches: MatchSet,
     food: Perishability,
     thresholds: Thresholds,
-    now: int = 0,
-    receiver_universe: Optional[set[int]] = None,
-    match_ids: Optional[Iterator[int]] = None,
-) -> tuple[MatchSet, list[VolunteerRequest]]:
+    now: int,
+    receiver_universe: set[int],
+    match_ids: Iterator[int],
+) -> tuple[list[Match], list[Optional[VolunteerRequest]]]:
     """Give every gated donor a provisional match, with the best volunteer
     it can get.
 
-    Scanning follows volunteer arrival order and upgrades only on a strict
-    vicinity improvement, so the earliest-arriving maximizer wins. A chosen
+    Returns two lists aligned with donors: each donor's provisional match,
+    which carries its reach, and its chosen volunteer or None. Scanning
+    follows volunteer arrival order and upgrades only on a strict vicinity
+    improvement, so the earliest-arriving maximizer wins. A chosen
     volunteer leaves the open market but is offered first to later meals of
     the same donor while its payload lasts. Donors with no eligible
     volunteer fall back to the class default reach.
     """
-    if match_ids is None:
-        match_ids = itertools.count(1)
     index = _VolunteerIndex(vols, thresholds.t_l)
     taken: set[RequestId] = set()
     sticky: dict[int, VolunteerRequest] = {}
+    matches: list[Match] = []
+    volunteers: list[Optional[VolunteerRequest]] = []
 
     for d in donors:
         chosen: Optional[VolunteerRequest] = None
@@ -251,27 +231,26 @@ def assign_volunteers(
             candidate_vicinity = best_vicinity
 
         if chosen is None:
-            d.vicinity = default_vicinity(food, None, thresholds)
+            reach = default_vicinity(food, None, thresholds)
         else:
-            d.vicinity = max(candidate_vicinity, default_vicinity(food, chosen.motored, thresholds))
+            reach = max(candidate_vicinity, default_vicinity(food, chosen.motored, thresholds))
             chosen.remaining_payload -= d.amount
             taken.add(chosen.id)
             sticky[d.id.agent_id] = chosen
 
-        matches.add(
+        matches.append(
             Match(
                 id=next(match_ids),
                 donor=d.id,
                 volunteer=chosen.id if chosen else None,
                 receiver=None,
-                vicinity=d.vicinity,
+                vicinity=reach,
                 status=MatchStatus.PENDING_VOLUNTEER_ONLY,
                 created_at=now,
             )
         )
-
-    remaining = [v for v in vols if v.id not in taken]
-    return matches, remaining
+        volunteers.append(chosen)
+    return matches, volunteers
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +261,14 @@ def assign_volunteers(
 def _pair_eligible(
     d: DonationRequest,
     r: RequirementRequest,
+    reach: float,
     volunteer: Optional[VolunteerRequest],
     thresholds: Thresholds,
     raw_mode: bool,
 ) -> bool:
     if d.window.end > r.window.end:
         return False
-    if distance(r.location, d.location) > d.vicinity:
+    if distance(r.location, d.location) > reach:
         return False
     if volunteer is not None:
         if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
@@ -329,13 +309,16 @@ class EligibilityTrace:
 def match_receivers(
     receivers: Sequence[RequirementRequest],
     donors: Sequence[DonationRequest],
-    matches: MatchSet,
+    matches: Sequence[Match],
+    volunteers: Sequence[Optional[VolunteerRequest]],
     thresholds: Thresholds,
-    volunteers_by_id: Optional[dict[RequestId, VolunteerRequest]] = None,
     policy: MatchPolicy = MatchPolicy(),
     trace: Optional[EligibilityTrace] = None,
-) -> MatchSet:
+) -> None:
     """Serve receivers chronologically, each taking the donors that want it most.
+
+    donors, matches and volunteers are the aligned rows assign_volunteers
+    returns; a served donor's match records its receiver and amount.
 
     Every (donor, receiver) pair is tested once, and both sides' preference
     positions are fixed before the first receiver is served. Receivers are
@@ -346,24 +329,19 @@ def match_receivers(
     available until its requirement is covered. The final meal is accepted
     even when it overshoots the open requirement.
     """
-    volunteers_by_id = volunteers_by_id or {}
     raw_mode = policy.preferences == "raw"
 
     # preference update: donor indices eligible for each receiver, and each
     # donor's rank table over the receivers it may serve
     eligible: list[list[int]] = [[] for _ in receivers]
     donor_tables: list[tuple[dict[int, int], int]] = []
-    provisional: list[Match] = []
-    for k, d in enumerate(donors):
-        match = matches.get(d.id)
-        volunteer = volunteers_by_id.get(match.volunteer) if match and match.volunteer else None
+    for k, (d, match, volunteer) in enumerate(zip(donors, matches, volunteers)):
         agents = set()
         for r, found in zip(receivers, eligible):
-            if _pair_eligible(d, r, volunteer, thresholds, raw_mode):
+            if _pair_eligible(d, r, match.vicinity, volunteer, thresholds, raw_mode):
                 found.append(k)
                 agents.add(r.id.agent_id)
         donor_tables.append(_rank_table(d.preferred_receivers, agents, raw_mode))
-        provisional.append(match)
 
     order = (
         (lambda pair: (pair[0].window.end, pair[0].arrival))
@@ -387,13 +365,11 @@ def match_receivers(
 
         for k in sorted(available, key=key):
             free[k] = False
-            match = provisional[k]
-            match.receiver = r.id
-            match.delivered_amount = donors[k].amount
+            matches[k].receiver = r.id
+            matches[k].delivered_amount = donors[k].amount
             r.remaining_amount -= donors[k].amount
             if r.remaining_amount <= 0:
                 break
-    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +379,7 @@ def match_receivers(
 
 @dataclass
 class CaDtbResult:
-    matches: MatchSet
+    matches: list[Match]
     donors: list[DonationRequest]
     receivers: list[RequirementRequest]
     vols: list[VolunteerRequest]
@@ -434,27 +410,22 @@ def ca_dtb(
     gated_receivers = gated(receivers, now, thresholds)
     receiver_universe = {r.id.agent_id for r in gated_receivers}
 
-    matches = MatchSet()
-    matches, _ = assign_volunteers(
-        gated_donors, vols, matches, food, thresholds,
-        now=now, receiver_universe=receiver_universe, match_ids=match_ids,
+    matches, volunteers = assign_volunteers(
+        gated_donors, vols, food, thresholds, now, receiver_universe,
+        itertools.count(1) if match_ids is None else match_ids,
     )
-    volunteers_by_id = {v.id: v for v in vols}
-    match_receivers(
-        gated_receivers, gated_donors, matches, thresholds,
-        volunteers_by_id=volunteers_by_id, policy=policy, trace=trace,
-    )
+    match_receivers(gated_receivers, gated_donors, matches, volunteers, thresholds, policy, trace)
 
-    donors_by_id = {d.id: d for d in gated_donors}
+    matched_donors: set[RequestId] = set()
     committed_vols: set[RequestId] = set()
-    for match in matches:
-        if match.receiver is None:
-            if match.volunteer is not None:
-                volunteers_by_id[match.volunteer].remaining_payload += donors_by_id[match.donor].amount
-        elif match.volunteer is not None:
-            committed_vols.add(match.volunteer)
+    for d, match, volunteer in zip(gated_donors, matches, volunteers):
+        if match.receiver is not None:
+            matched_donors.add(d.id)
+            if volunteer is not None:
+                committed_vols.add(volunteer.id)
+        elif volunteer is not None:
+            volunteer.remaining_payload += d.amount
 
-    matched_donors = {m.donor for m in matches if m.receiver is not None}
     leftover_donors = [d for d in donors if d.id not in matched_donors]
     leftover_receivers = [r for r in receivers if r.remaining_amount > 0]
     leftover_vols = [v for v in vols if v.id not in committed_vols]
@@ -500,13 +471,11 @@ class MatchingEngine:
         self,
         pool: ActivePool,
         thresholds: Thresholds,
-        taxonomy: Optional[FoodTaxonomy] = None,
         policy: MatchPolicy = MatchPolicy(),
         trace: Optional[EligibilityTrace] = None,
     ):
         self.pool = pool
         self.thresholds = thresholds
-        self.taxonomy = taxonomy or FoodTaxonomy()
         self.policy = policy
         self.trace = trace
         self.carry = ClassifiedLists()
@@ -559,7 +528,7 @@ class MatchingEngine:
         expires stale displayed matches and requeues their requests.
         """
         snapshot = self.pool.drain()
-        self.carry = trifurcate(snapshot, self.carry, self.taxonomy)
+        self.carry = trifurcate(snapshot, self.carry)
         self._retire_lapsed(now)
 
         result_p = ca_dtb(
@@ -586,20 +555,7 @@ class MatchingEngine:
         return displayed
 
     def _expire_and_requeue(self, now: int) -> None:
-        still_open = []
-        stale: list[DisplayGroup] = []
-        for group in self.open_groups:
-            if group.status is MatchStatus.DISPLAYED and now > group.created_at + self.thresholds.t_w:
-                stale.append(group)
-            elif group.status is MatchStatus.DISPLAYED:
-                still_open.append(group)
-        self.open_groups = still_open
-        if not stale:
-            return
-        active = self.active_carry_ids()
-        for group in stale:
-            expire_stale_matches(group.matches, now, self.thresholds)
-            self._requeue(group.matches, active)
+        self._requeue([g for g in self.open_groups if expire_stale_matches(g.matches, now, self.thresholds)])
 
     def apply_decisions(self, decisions: Sequence[tuple[DisplayGroup, bool]]) -> None:
         """Record accept/reject outcomes for displayed groups.
@@ -607,33 +563,27 @@ class MatchingEngine:
         A clubbed group is a single notification, so the whole group shares
         one fate. Rejected groups immediately requeue their requests.
         """
-        active: Optional[set[RequestId]] = None
-        decided: set[int] = set()
+        rejected = []
         for group, accepted in decisions:
             if group.status is not MatchStatus.DISPLAYED:
                 continue
-            decided.add(group.id)
-            if accepted:
-                for match in group.matches:
-                    match.status = MatchStatus.ACCEPTED
-            else:
-                if active is None:
-                    active = self.active_carry_ids()
-                for match in group.matches:
-                    match.status = MatchStatus.REJECTED
-                self._requeue(group.matches, active)
-        self.open_groups = [g for g in self.open_groups if g.id not in decided]
+            for match in group.matches:
+                match.status = MatchStatus.ACCEPTED if accepted else MatchStatus.REJECTED
+            if not accepted:
+                rejected.append(group)
+        self._requeue(rejected)
 
-    def _requeue(self, matches: Sequence[Match], active: set[RequestId]) -> None:
-        """Requeue failed matches one by one; each request they return is
-        marked active so a later match in the batch does not enqueue it again."""
-        for match in matches:
-            requeue_rejected(match, self.pool, already_active=active)
-            active.add(match.donor)
-            if match.volunteer is not None:
-                active.add(match.volunteer)
-            if match.receiver is not None:
-                active.add(match.receiver)
+    def _requeue(self, failed: Sequence[DisplayGroup]) -> None:
+        """Close every settled group and return the requests of the failed
+        ones to the pool; the pool refuses a request already queued, so only
+        the carried ones need naming."""
+        self.open_groups = [g for g in self.open_groups if g.status is MatchStatus.DISPLAYED]
+        if not failed:
+            return
+        carried = set(self.carry.all_ids())
+        for group in failed:
+            for match in group.matches:
+                requeue_rejected(match, self.pool, already_active=carried)
 
     def delivery_records(self):
         """Off-routing audit records for every accepted volunteer delivery."""

@@ -2,7 +2,7 @@
 
 This module defines the fundamental data carried through the system:
 - Location / TimeWindow: planar coordinates (km) and integer-minute windows
-- FoodType / Perishability / FoodTaxonomy: the food classification scheme
+- FoodType / Perishability / PERISHABILITY: the food classification scheme
 - Thresholds: the ten operating parameters that govern every eligibility test
 - DonationRequest / RequirementRequest / VolunteerRequest: agent intents
 - Match: a (donor meal, optional volunteer, optional receiver) assignment
@@ -38,33 +38,9 @@ class Perishability(Enum):
     NON_PERISHABLE = "non_perishable"
 
 
-class FoodTaxonomy:
-    """Total mapping of food types to perishable / non-perishable classes.
-
-    Mixed food always counts as perishable. The default taxonomy sends the
-    packaged types to non-perishable and everything else to perishable; a
-    custom mapping may be supplied as long as it stays total and keeps the
-    mixed-is-perishable rule.
-    """
-
-    def __init__(self, mapping: Optional[dict[FoodType, Perishability]] = None):
-        if mapping is None:
-            mapping = dict(_DEFAULT_TAXONOMY)
-        missing = [ft for ft in FoodType if ft not in mapping]
-        if missing:
-            raise ValueError(f"taxonomy not total, missing: {missing}")
-        if mapping[FoodType.MIXED] is not Perishability.PERISHABLE:
-            raise ValueError("mixed food must map to the perishable class")
-        self._mapping = dict(mapping)
-
-    def perishability(self, food: FoodType) -> Perishability:
-        return self._mapping[food]
-
-    def is_perishable(self, food: FoodType) -> bool:
-        return self._mapping[food] is Perishability.PERISHABLE
-
-
-_DEFAULT_TAXONOMY = {
+# the one food classification: packaged types are non-perishable, everything
+# else (mixed food included) is perishable
+PERISHABILITY = {
     FoodType.FRESHLY_COOKED: Perishability.PERISHABLE,
     FoodType.FROZEN_UNCOOKED: Perishability.PERISHABLE,
     FoodType.FROZEN_COOKED: Perishability.PERISHABLE,
@@ -175,7 +151,7 @@ class _RequestShell:
         """A new request with its own ``__dict__`` sharing the field values.
 
         Safe because every field is an immutable value and a run only
-        rebinds the scalar run-time fields ``arrival``, ``vicinity``,
+        rebinds the three scalar run-time fields ``arrival``,
         ``remaining_amount`` and ``remaining_payload``, never mutating a
         field in place. ``copy.deepcopy`` memoizes the result, so shared
         identity inside one copied structure is kept.
@@ -185,11 +161,7 @@ class _RequestShell:
 
 @dataclass
 class DonationRequest(_RequestShell):
-    """One donation meal offer.
-
-    vicinity is runtime state: the matching engine recomputes it whenever
-    the request is considered, from the food class and assigned transport.
-    """
+    """One donation meal offer."""
 
     id: RequestId
     arrival: int
@@ -201,7 +173,6 @@ class DonationRequest(_RequestShell):
     prep_or_expiry: int = 0
     image_ref: str = ""
     preferred_receivers: tuple[int, ...] = ()
-    vicinity: float = 0.0
 
     def __post_init__(self) -> None:
         if self.amount <= 0:

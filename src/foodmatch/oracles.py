@@ -24,15 +24,15 @@ from __future__ import annotations
 import copy
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
 from .engine import EligibilityTrace, MatchPolicy, ca_dtb, gated
 from .geometry import default_vicinity, distance, volunteer_route, within_dropoff_band
 from .model import (
+    PERISHABILITY,
     DonationRequest,
-    FoodTaxonomy,
     FoodType,
     Location,
     Match,
@@ -69,7 +69,6 @@ class Instance:
     vols: list[VolunteerRequest]
     now: int
     thresholds: Thresholds = field(default_factory=Thresholds)
-    taxonomy: FoodTaxonomy = field(default_factory=FoodTaxonomy)
     policy: MatchPolicy = field(default_factory=MatchPolicy)
 
     def clone(self) -> "Instance":
@@ -81,7 +80,7 @@ def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:
     work = instance.clone()
     trace = EligibilityTrace()
     snapshot = sorted(work.donors + work.receivers + work.vols, key=lambda r: r.arrival)
-    lists = trifurcate(snapshot, ClassifiedLists(), work.taxonomy)
+    lists = trifurcate(snapshot, ClassifiedLists())
     match_ids = itertools.count(1)
 
     result_p = ca_dtb(
@@ -123,7 +122,6 @@ class _OracleWorld:
     def __init__(self, instance: Instance, produced: Sequence[Match]):
         self.instance = instance
         self.thresholds = instance.thresholds
-        self.taxonomy = instance.taxonomy
         self.raw_mode = instance.policy.preferences == "raw"
         self.gated_donors = gated(instance.donors, instance.now, instance.thresholds)
         self.gated_receivers = gated(instance.receivers, instance.now, instance.thresholds)
@@ -137,16 +135,13 @@ class _OracleWorld:
                 self.vicinity[d.id] = match.vicinity
                 self.volunteer[d.id] = vols_by_id.get(match.volunteer) if match.volunteer else None
             else:
-                # no recorded assignment: a donor always reaches at least the
-                # class floor on its own
-                floor = default_vicinity(
-                    self.taxonomy.perishability(d.food), None, self.thresholds
-                )
-                self.vicinity[d.id] = max(d.vicinity, floor)
+                # no recorded assignment: a donor reaches the class floor on
+                # its own
+                self.vicinity[d.id] = default_vicinity(PERISHABILITY[d.food], None, self.thresholds)
                 self.volunteer[d.id] = None
 
     def pair_feasible(self, d: DonationRequest, r: RequirementRequest) -> bool:
-        if self.taxonomy.perishability(d.food) is not self.taxonomy.perishability(r.food):
+        if PERISHABILITY[d.food] is not PERISHABILITY[r.food]:
             return False
         if d.window.end > r.window.end:
             return False
@@ -448,10 +443,11 @@ def exhaustive_misreports(instance: Instance) -> MisreportReport:
         for misreport in _misreports(opposite[role]):
             if tuple(misreport) == tuple(true_list):
                 continue
-            variant = instance.clone()
-            for request in variant.donors if role == "donor" else variant.receivers:
-                if request.id.agent_id == agent_id:
-                    setattr(request, listed, misreport)
+            side = "donors" if role == "donor" else "receivers"
+            variant = replace(instance, **{side: [
+                replace(request, **{listed: misreport}) if request.id.agent_id == agent_id else request
+                for request in getattr(instance, side)
+            ]})
             matches, trace = run_instance(variant)
             misreported = partner_index(_matched_pairs(matches))
             report.outcomes.append(score_misreport(

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .model import (
+    PERISHABILITY,
     DonationRequest,
-    FoodTaxonomy,
     FoodType,
     Location,
     Request,
@@ -256,7 +256,6 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     # toward a requirement of the same food class it could plausibly carry
     # volunteers declare the day's availability up front, so a larger pool
     # extends a smaller one without reordering it
-    taxonomy = FoodTaxonomy()
     rng_v = random.Random(f"{config.seed}:volunteers")
     volunteers: list[TimedRequest] = []
     anchor_cycle: list[TimedRequest] = []
@@ -281,12 +280,12 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         if anchor is not None and receivers:
             # aim for a requirement the anchor donation could actually serve:
             # same food class, usable after the donation, gates overlapping
-            anchor_class = taxonomy.perishability(anchor.request.food)
+            anchor_class = PERISHABILITY[anchor.request.food]
             th = config.thresholds
             for _ in range(12):
                 candidate = rng_v.choice(receivers)
                 if (
-                    taxonomy.perishability(candidate.request.food) is anchor_class
+                    PERISHABILITY[candidate.request.food] is anchor_class
                     and candidate.request.window.end >= anchor.request.window.end
                     and candidate.request.window.start - th.t_r <= anchor.request.window.end - th.t_d
                 ):

@@ -48,4 +48,9 @@ def test_engine_layers_are_counted(installed):
     run_simulation(generate_scenario(ScenarioConfig(n_requests=120, seed=2)))
     assert tracer.counts["geometry.distance_calls"] > 0
     assert tracer.counts["geometry.dropoff_band_calls"] > 0
+    # counted from the shapes of assign_volunteers' arguments and result
+    # and of CaDtbResult.matches
+    assert tracer.counts["engine.gated_donors"] > 0
+    assert tracer.counts["engine.provisional_matches"] > 0
+    assert tracer.counts["engine.completed_matches"] > 0
     assert "engine.match_receivers" in {span[0] for span in tracer.spans}

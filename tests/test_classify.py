@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from foodmatch.classify import ClassifiedLists, trifurcate
 from foodmatch.model import (
     DonationRequest,
-    FoodTaxonomy,
     FoodType,
     Location,
     RequestId,
@@ -14,8 +13,6 @@ from foodmatch.model import (
     TimeWindow,
     VolunteerRequest,
 )
-
-TAX = FoodTaxonomy()
 
 
 def sizes(lists):
@@ -41,7 +38,7 @@ def mk(kind, agent, arrival, food=FoodType.FRESHLY_COOKED):
 
 
 def test_volunteer_goes_to_v():
-    lists = trifurcate([mk("v", 1, 1)], ClassifiedLists(), TAX)
+    lists = trifurcate([mk("v", 1, 1)], ClassifiedLists())
     assert sizes(lists) == [1, 0, 0, 0, 0]
 
 
@@ -49,7 +46,6 @@ def test_bifurcation_by_food_class():
     lists = trifurcate(
         [mk("d", 1, 1, FoodType.FRESHLY_COOKED), mk("r", 2, 2, FoodType.PACKAGED_SOLID)],
         ClassifiedLists(),
-        TAX,
     )
     assert [d.id.agent_id for d in lists.pfd] == [1]
     assert [r.id.agent_id for r in lists.npfr] == [2]
@@ -57,21 +53,21 @@ def test_bifurcation_by_food_class():
 
 
 def test_empty_snapshot_is_identity_on_carry():
-    carry = trifurcate([mk("d", 1, 1), mk("r", 2, 2)], ClassifiedLists(), TAX)
-    out = trifurcate([], carry, TAX)
+    carry = trifurcate([mk("d", 1, 1), mk("r", 2, 2)], ClassifiedLists())
+    out = trifurcate([], carry)
     assert [r.id for r in out.pfd] == [r.id for r in carry.pfd]
     assert sizes(out) == sizes(carry)
 
 
 def test_carry_precedes_new_entries():
-    carry = trifurcate([mk("d", 1, 1)], ClassifiedLists(), TAX)
-    out = trifurcate([mk("d", 2, 5)], carry, TAX)
+    carry = trifurcate([mk("d", 1, 1)], ClassifiedLists())
+    out = trifurcate([mk("d", 2, 5)], carry)
     assert [d.id.agent_id for d in out.pfd] == [1, 2]
 
 
 def test_unclassifiable_rejected():
     with pytest.raises(TypeError, match="unclassifiable"):
-        trifurcate([object()], ClassifiedLists(), TAX)
+        trifurcate([object()], ClassifiedLists())
 
 
 @given(
@@ -82,7 +78,7 @@ def test_unclassifiable_rejected():
 )
 def test_partition_conserves_and_keeps_order(spec):
     snapshot = [mk(kind, agent + 1, agent + 1, food) for agent, (kind, food) in enumerate(spec)]
-    lists = trifurcate(snapshot, ClassifiedLists(), TAX)
+    lists = trifurcate(snapshot, ClassifiedLists())
     ids = list(lists.all_ids())
     assert len(ids) == len(set(ids)) == len(snapshot)
     for lst in (lists.v, lists.pfd, lists.pfr, lists.npfd, lists.npfr):

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from foodmatch import engine
 from foodmatch.engine import (
     MatchPolicy,
-    MatchSet,
     assign_volunteers,
     ca_dtb,
     club_matches,
@@ -102,28 +101,28 @@ class TestVolunteerEligibility:
         d = donor(1, amount=1000)
         ok = vol(90, payload=1200)
         short = vol(91, payload=1199)
-        assert volunteer_is_eligible(d, ok, TH)
-        assert not volunteer_is_eligible(d, short, TH)
+        assert volunteer_is_eligible(d, ok, TH, set())
+        assert not volunteer_is_eligible(d, short, TH, set())
 
     def test_overlap_below_threshold_excluded(self):
         d = donor(1, window=(700, 800))
         v = vol(90, window=(500, 714))  # overlap 14 < 15
-        assert not volunteer_is_eligible(d, v, TH)
+        assert not volunteer_is_eligible(d, v, TH, set())
         v2 = vol(91, window=(500, 715))  # overlap exactly 15
-        assert volunteer_is_eligible(d, v2, TH)
+        assert volunteer_is_eligible(d, v2, TH, set())
 
     def test_pickup_radius(self):
         d = donor(1, loc=(9.5 + 1.026, 10))  # just past 5% of 20.5 km
         v = vol(90)
-        assert not volunteer_is_eligible(d, v, TH)
+        assert not volunteer_is_eligible(d, v, TH, set())
 
     def test_restricted_volunteer_needs_universe_overlap(self):
         d = donor(1)
         v = vol(90, receivers=(9,))
         assert not volunteer_is_eligible(d, v, TH, receiver_universe={50, 51})
         assert volunteer_is_eligible(d, v, TH, receiver_universe={9, 50})
-        # unknown universe defers the restriction to pair eligibility
-        assert volunteer_is_eligible(d, v, TH)
+        # an unrestricted volunteer needs no gated receiver at all
+        assert volunteer_is_eligible(d, vol(91), TH, set())
 
 
 class TestVicinityCandidate:
@@ -144,51 +143,62 @@ class TestVicinityCandidate:
         assert vicinity_candidate(d, v, NP, TH) == pytest.approx(3.0)
 
 
+def assign(donors, vols):
+    """assign_volunteers for one perishable round at minute 0 with no gated
+    receivers."""
+    return assign_volunteers(donors, vols, P, TH, 0, set(), itertools.count(1))
+
+
 class TestAssignVolunteers:
     def test_maximizer_wins(self):
         d = donor(1, loc=(10, 10))
         strong = vol(90, motored=True)                       # candidate 20
         weak = vol(91, route=((9.5, 10), (22.3, 10)), ac=True)  # candidate 12.3
-        matches, _ = assign_volunteers([d], [weak, strong], MatchSet(), P, TH)
-        match = matches.get(d.id)
-        assert match.volunteer == strong.id
-        assert d.vicinity == 20.0
+        (match,), (chosen,) = assign([d], [weak, strong])
+        assert match.volunteer == strong.id and chosen is strong
+        assert match.vicinity == 20.0
 
     def test_no_volunteer_falls_back_to_floor(self):
         d = donor(1)
-        matches, _ = assign_volunteers([d], [], MatchSet(), P, TH)
-        match = matches.get(d.id)
-        assert match.volunteer is None
+        (match,), (chosen,) = assign([d], [])
+        assert match.volunteer is None and chosen is None
         assert match.status is MatchStatus.PENDING_VOLUNTEER_ONLY
-        assert d.vicinity == 5.0
+        assert match.vicinity == 5.0
 
     def test_sticky_volunteer_until_payload_exhausted(self):
         meals = [donor(1, amount=1000, meal=k) for k in (1, 2, 3)]
         v = vol(90, payload=2400)
-        matches, _ = assign_volunteers(meals, [v], MatchSet(), P, TH)
-        assigned = [matches.get(m.id).volunteer for m in meals]
-        assert assigned == [v.id, v.id, None]
+        matches, volunteers = assign(meals, [v])
+        assert [m.donor for m in matches] == [m.id for m in meals]
+        assert [m.volunteer for m in matches] == [v.id, v.id, None]
+        assert volunteers == [v, v, None]
         assert v.remaining_payload == 400
 
     def test_equal_candidates_earliest_arrival_wins(self):
         d = donor(1)
         first = vol(90, motored=True)
         second = vol(91, motored=True)
-        matches, _ = assign_volunteers([d], [first, second], MatchSet(), P, TH)
-        assert matches.get(d.id).volunteer == first.id
+        (match,), _ = assign([d], [first, second])
+        assert match.volunteer == first.id
 
     def test_vicinity_floored_at_transport_default(self):
         d = donor(1, loc=(10, 10))
         near_dest = vol(90, route=((9.9, 10), (12, 10)), ac=True, motored=True)  # candidate 2.0
-        matches, _ = assign_volunteers([d], [near_dest], MatchSet(), P, TH)
-        assert matches.get(d.id).volunteer == near_dest.id
-        assert d.vicinity == 20.0  # floored to motored perishable reach
+        (match,), _ = assign([d], [near_dest])
+        assert match.volunteer == near_dest.id
+        assert match.vicinity == 20.0  # floored to motored perishable reach
+
+
+def round_of(donors, receivers, vols=(), now=660):
+    """(donor agent, receiver agent) of every match one class round
+    completes, and the reach of each gated donor's provisional match."""
+    result = ca_dtb(donors, receivers, list(vols), P, now, TH)
+    served = [(m.donor.agent_id, m.receiver.agent_id) for m in result.completed()]
+    return served, [m.vicinity for m in result.matches]
 
 
 def served_pairs(donors, receivers, vols=(), now=660):
-    """(donor agent, receiver agent) of every match one class round completes."""
-    result = ca_dtb(donors, receivers, list(vols), P, now, TH)
-    return [(m.donor.agent_id, m.receiver.agent_id) for m in result.completed()]
+    return round_of(donors, receivers, vols, now)[0]
 
 
 class TestEligibleDonors:
@@ -217,14 +227,12 @@ class TestDonorNeighbourhood:
         inside = receiver(50, loc=(18, 10.5))
         off_band = receiver(51, loc=(18, 12.5), window=(820, 970))
         beyond_reach = receiver(52, loc=(30.5, 10), window=(820, 960))  # 20.5 km, on the band
-        assert served_pairs([d], [inside, off_band, beyond_reach], [vol(90)]) == [(1, 50)]
-        assert d.vicinity == 20.0
+        assert round_of([d], [inside, off_band, beyond_reach], [vol(90)]) == ([(1, 50)], [20.0])
 
     def test_volunteerless_skips_band(self):
         d = donor(1, loc=(10, 10))
         edge = receiver(50, loc=(10, 14.9))
-        assert served_pairs([d], [edge]) == [(1, 50)]
-        assert d.vicinity == 5.0
+        assert round_of([d], [edge]) == ([(1, 50)], [5.0])
 
     def test_restricted_receiver_list_enforced(self):
         # 50 ends first but is off the volunteer's list; 99 is on it
@@ -232,8 +240,7 @@ class TestDonorNeighbourhood:
         r = receiver(50, loc=(18, 10.5))
         listed = receiver(99, loc=(20, 10.5), window=(820, 990))
         v = vol(90, receivers=(99,))
-        assert served_pairs([d], [r, listed], [v]) == [(1, 99)]
-        assert d.vicinity == 20.0
+        assert round_of([d], [r, listed], [v]) == ([(1, 99)], [20.0])
 
 
 def collapsed_entries(preferred, eligible):
@@ -337,11 +344,11 @@ class TestPairTable:
     def test_each_pair_tested_once(self, monkeypatch):
         donors = [donor(1 + i) for i in range(3)]
         r = receiver(50, amount=2500)
-        matches, _ = assign_volunteers(donors, [], MatchSet(), P, TH)
+        matches, volunteers = assign(donors, [])
         calls = []
         real = engine.distance
         monkeypatch.setattr(engine, "distance", lambda a, b: calls.append((a, b)) or real(a, b))
-        match_receivers([r], donors, matches, TH)
+        match_receivers([r], donors, matches, volunteers, TH)
         assert len(calls) == 3
         assert [m.receiver for m in matches] == [r.id] * 3
         assert r.remaining_amount == -500
@@ -356,6 +363,18 @@ class TestCaDtb:
         assert result.donors == [d]
         assert v in result.vols
         assert v.remaining_payload == v.payload_capacity  # reservation rolled back
+
+    def test_sticky_volunteer_keeps_only_the_served_meal(self):
+        meals = [donor(1, meal=k) for k in (1, 2)]
+        r = receiver(50, amount=1000)
+        v = vol(90, payload=5000)
+        result = ca_dtb(meals, [r], [v], P, 660, TH)
+        assert [m.volunteer for m in result.matches] == [v.id, v.id]
+        assert [m.donor for m in result.completed()] == [meals[0].id]
+        assert result.donors == [meals[1]]
+        # the unserved meal's 1000 g came back; the served meal's stays reserved
+        assert v.remaining_payload == 4000
+        assert v not in result.vols
 
     def test_no_volunteers_floor_vicinity_matches(self):
         d = donor(1, loc=(10, 10))

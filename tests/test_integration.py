@@ -3,12 +3,11 @@ orchestrated iteration ordering, and output emission edge cases."""
 
 import csv
 
-from foodmatch.engine import MatchingEngine, MatchSet
+from foodmatch.engine import MatchingEngine
 from foodmatch.model import (
     DonationRequest,
     FoodType,
     Location,
-    Match,
     MatchStatus,
     RequestId,
     RequirementRequest,
@@ -62,6 +61,26 @@ class TestRequeueRematch:
         engine.apply_decisions([(second[0], True)])
         assert second[0].status is MatchStatus.ACCEPTED
 
+    def test_rejected_meal_of_a_carried_receiver_is_not_queued_again(self):
+        donor, _, volunteer = compatible_triple()
+        receiver = RequirementRequest(
+            id=RequestId(2, 1), arrival=-1, location=Location(20, 10.5),
+            food=FoodType.FRESHLY_COOKED, amount=3000, window=TimeWindow(820, 980),
+        )
+        pool = ActivePool()
+        for request in (donor, receiver, volunteer):
+            submit_request(request, pool, TH)
+        engine = MatchingEngine(pool, TH)
+
+        (group,) = engine.iterate(660)
+        assert engine.carry.pfr == [receiver]  # partly served, still carried
+        engine.apply_decisions([(group, False)])
+        assert receiver.remaining_amount == 3000
+        assert pool.queued_ids() == {donor.id, volunteer.id}
+
+        engine.iterate(665)
+        assert [r.id for r in engine.carry.pfr] == [receiver.id]
+
     def test_expired_triple_rematches_after_deadline(self):
         donor, receiver, volunteer = compatible_triple()
         # keep the donation gate open past the expiry deadline
@@ -97,20 +116,6 @@ class TestPayloadInvariant:
         assert by_volunteer
         for agent, grams in by_volunteer.items():
             assert grams <= capacities[agent]
-
-
-class TestMatchSet:
-    def test_one_match_per_donor_meal(self):
-        matches = MatchSet()
-        match = Match(1, RequestId(1, 1, 1), None, None, 5.0, MatchStatus.DISPLAYED, 0)
-        matches.add(match)
-        try:
-            matches.add(Match(2, RequestId(1, 1, 1), None, None, 5.0, MatchStatus.DISPLAYED, 0))
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("duplicate donor match accepted")
-        assert matches.get(RequestId(1, 1, 1)) is match
 
 
 class TestOutput:

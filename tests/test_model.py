@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from foodmatch.engine import ca_dtb
 
 from foodmatch.model import (
+    PERISHABILITY,
     DonationRequest,
-    FoodTaxonomy,
     FoodType,
     Location,
     Perishability,
@@ -41,27 +41,17 @@ class TestSequencer:
 
 class TestTaxonomy:
     def test_mixed_is_perishable(self):
-        assert FoodTaxonomy().perishability(FoodType.MIXED) is Perishability.PERISHABLE
+        assert PERISHABILITY[FoodType.MIXED] is Perishability.PERISHABLE
 
     def test_packaged_solid_nonperishable(self):
-        assert FoodTaxonomy().perishability(FoodType.PACKAGED_SOLID) is Perishability.NON_PERISHABLE
+        assert PERISHABILITY[FoodType.PACKAGED_SOLID] is Perishability.NON_PERISHABLE
 
     def test_freshly_cooked_perishable(self):
-        assert FoodTaxonomy().perishability(FoodType.FRESHLY_COOKED) is Perishability.PERISHABLE
+        assert PERISHABILITY[FoodType.FRESHLY_COOKED] is Perishability.PERISHABLE
 
     def test_total_over_food_types(self):
-        taxonomy = FoodTaxonomy()
         for food in FoodType:
-            assert taxonomy.perishability(food) in (Perishability.PERISHABLE, Perishability.NON_PERISHABLE)
-
-    def test_partial_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            FoodTaxonomy({FoodType.MIXED: Perishability.PERISHABLE})
-
-    def test_mixed_must_stay_perishable(self):
-        mapping = {food: Perishability.NON_PERISHABLE for food in FoodType}
-        with pytest.raises(ValueError):
-            FoodTaxonomy(mapping)
+            assert PERISHABILITY[food] in (Perishability.PERISHABLE, Perishability.NON_PERISHABLE)
 
 
 class TestTieBreak:

@@ -25,7 +25,7 @@ from foodmatch.oracles import random_instance, sized_instance
 from foodmatch.scenario import ScenarioConfig, generate_scenario, scenario_from_json, scenario_to_json
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
-RUN_TIME_FIELDS = {"arrival", "vicinity", "remaining_amount", "remaining_payload"}
+RUN_TIME_FIELDS = {"arrival", "remaining_amount", "remaining_payload"}
 
 
 def one_of_each():
