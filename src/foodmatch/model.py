@@ -52,13 +52,13 @@ PERISHABILITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     x: float
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     """Inclusive integer-minute window with start <= end."""
 
@@ -77,7 +77,7 @@ class TimeWindow:
         return max(0, min(self.end, other.end) - max(self.start, other.start))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestId:
     """Globally unique request identity.
 
@@ -147,8 +147,12 @@ class Thresholds:
 
 
 class _RequestShell:
+    # the request classes are slotted; an empty base keeps them free of a
+    # per-instance __dict__
+    __slots__ = ()
+
     def __deepcopy__(self, memo: dict) -> "_RequestShell":
-        """A new request with its own ``__dict__`` sharing the field values.
+        """A new request with its own slots bound to the same field values.
 
         Safe because every field is an immutable value and a run only
         rebinds the three scalar run-time fields ``arrival``,
@@ -159,7 +163,7 @@ class _RequestShell:
         return copy.copy(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class DonationRequest(_RequestShell):
     """One donation meal offer."""
 
@@ -186,7 +190,7 @@ class DonationRequest(_RequestShell):
         return self.window.start
 
 
-@dataclass
+@dataclass(slots=True)
 class RequirementRequest(_RequestShell):
     """One food requirement. Never split; tracks the unfulfilled remainder."""
 
@@ -213,7 +217,7 @@ class RequirementRequest(_RequestShell):
         return self.window.end
 
 
-@dataclass
+@dataclass(slots=True)
 class VolunteerRequest(_RequestShell):
     """One transport offer along a fixed start->destination route."""
 
@@ -248,7 +252,7 @@ class MatchStatus(Enum):
     EXPIRED = "expired"
 
 
-@dataclass
+@dataclass(slots=True)
 class Match:
     """A donor-meal assignment, optionally carrying transport and a receiver.
 

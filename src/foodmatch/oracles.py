@@ -48,6 +48,8 @@ MAX_ORACLE_DONORS = 5
 MAX_ORACLE_RECEIVERS = 5
 MAX_ORACLE_VOLUNTEERS = 3
 
+_FOOD_TYPES = tuple(FoodType)
+
 
 def gamma_violations(deliveries, thresholds: Thresholds, tolerance: float = 1e-9):
     """Deliveries whose off-routing exceeds 4 * t_l percent."""
@@ -518,7 +520,7 @@ def sized_instance(
                 id=RequestId(agent, 1),
                 arrival=next(arrivals),
                 location=loc(),
-                food=rng.choice(list(FoodType)),
+                food=rng.choice(_FOOD_TYPES),
                 amount=rng.randint(600, 1800),
                 window=TimeWindow(start, end),
                 preferred_receivers=pref(receiver_ids),
@@ -533,7 +535,7 @@ def sized_instance(
                 id=RequestId(agent, 1),
                 arrival=next(arrivals),
                 location=loc(),
-                food=rng.choice(list(FoodType)),
+                food=rng.choice(_FOOD_TYPES),
                 amount=rng.randint(600, 2600),
                 window=TimeWindow(start, end),
                 preferred_donors=pref(donor_ids),

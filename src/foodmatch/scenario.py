@@ -11,7 +11,10 @@ the errands they already run, which is what makes the tight pickup radius
 The file format is a single JSON object with "config" and "requests" keys,
 written on one line with sorted keys; request records carry a "type"
 discriminator, integer-minute times, [x, y] kilometer locations, and gram
-amounts. The reader validates every field, keeps every minute inside
+amounts. The writer streams the file one request record at a time, so the
+records of a whole city never exist as dicts or as one string at once. The
+loader drops the file text as soon as it is parsed, before it builds the
+requests; it validates every field, keeps every minute inside
 [0, working_end], and accepts any JSON layout.
 """
 
@@ -22,7 +25,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .model import (
     PERISHABILITY,
@@ -102,7 +105,7 @@ class ScenarioConfig:
             raise ValueError("infeasible scenario: payload range")
 
 
-@dataclass
+@dataclass(slots=True)
 class TimedRequest:
     submit_at: int
     request: Request
@@ -143,7 +146,7 @@ def _preference(rng: random.Random, config: ScenarioConfig, pool: range) -> tupl
     length = min(rng.choice(config.preference_lengths), len(pool))
     if length == 0:
         return ()
-    return tuple(rng.sample(list(pool), length))
+    return tuple(rng.sample(pool, length))
 
 
 def _hub_centers(config: ScenarioConfig) -> tuple[list[Location], list[Location]]:
@@ -299,7 +302,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         motored = rng_v.random() < config.motored_rate
         restricted: tuple[int, ...] = ()
         if receiver_locations and rng_v.random() < config.restricted_volunteer_rate:
-            restricted = tuple(rng_v.sample(list(receiver_ids), min(2, n_r)))
+            restricted = tuple(rng_v.sample(receiver_ids, min(2, n_r)))
         volunteers.append(
             TimedRequest(
                 submit_at=submit,
@@ -519,12 +522,20 @@ def config_from_dict(data) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
+def _scenario_chunks(scenario: Scenario) -> Iterator[str]:
+    """The scenario file's text, one request record at a time: the bytes of
+    ``json.dumps(payload, sort_keys=True)`` without building the payload."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    yield '{"config": ' + encode(config_to_dict(scenario.config)) + ', "requests": ['
+    separator = ""
+    for timed in scenario.requests:
+        yield separator + encode(_request_to_record(timed))
+        separator = ", "
+    yield "]}"
+
+
 def scenario_to_json(scenario: Scenario) -> str:
-    payload = {
-        "config": config_to_dict(scenario.config),
-        "requests": [_request_to_record(t) for t in scenario.requests],
-    }
-    return json.dumps(payload, sort_keys=True)
+    return "".join(_scenario_chunks(scenario))
 
 
 def scenario_from_dict(payload) -> Scenario:
@@ -556,13 +567,11 @@ def scenario_from_dict(payload) -> Scenario:
     return Scenario(config=config, requests=requests)
 
 
-def scenario_from_json(text: str) -> Scenario:
-    return scenario_from_dict(json.loads(text))
-
-
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
-    Path(path).write_text(scenario_to_json(scenario))
+    with Path(path).open("w") as out:
+        out.writelines(_scenario_chunks(scenario))
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    return scenario_from_json(Path(path).read_text())
+    # the file text is a temporary that is freed once it is parsed
+    return scenario_from_dict(json.loads(Path(path).read_text()))

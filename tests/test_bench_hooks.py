@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from foodmatch import engine
-from foodmatch.scenario import ScenarioConfig, generate_scenario
+from foodmatch import cli, engine
+from foodmatch.scenario import ScenarioConfig, generate_scenario, load_scenario
 from foodmatch.simulate import run_simulation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,3 +54,14 @@ def test_engine_layers_are_counted(installed):
     assert tracer.counts["engine.provisional_matches"] > 0
     assert tracer.counts["engine.completed_matches"] > 0
     assert "engine.match_receivers" in {span[0] for span in tracer.spans}
+
+
+def test_traced_dump_counts_the_written_file(installed, tmp_path):
+    tracer, _ = installed
+    out = tmp_path / "scenario.json"
+    assert cli.main(["generate", "--seed", "3", "--requests", "80", "--out", str(out)]) == 0
+    assert [span[0] for span in tracer.spans].count("scenario.dump") == 1
+    # the size is read once save_scenario returns, so the file must be
+    # complete by then
+    assert tracer.counts["scenario.json_bytes"] == out.stat().st_size
+    assert len(load_scenario(out).requests) == 80

@@ -14,6 +14,11 @@ misreport under any policy, so "raw-gains" adds three of the five 4/4/2
 instances among seeds 0-24 that have one, all availability exceptions under
 raw preferences; "sized" holds the known hard gain), and the paired
 fig8b/fig8c allocation rows.
+
+The scenario-file digests were recorded while the writer still built every
+request record and the whole JSON string before writing a byte. They pin the
+generated populations and the file bytes of uniform cities at the benchmark's
+size, both desk presets, a multi-hub city and an empty scenario.
 """
 
 import hashlib
@@ -23,9 +28,14 @@ import pytest
 
 from foodmatch.engine import MatchPolicy
 from foodmatch.cli import PAIRED_EXPERIMENTS
-from foodmatch.experiments import desk_policy_config, experiment_manipulation, experiment_paired_policies
+from foodmatch.experiments import (
+    desk_policy_config,
+    desk_volunteer_sweep_config,
+    experiment_manipulation,
+    experiment_paired_policies,
+)
 from foodmatch.oracles import exhaustive_misreports, random_instance, run_instance, sized_instance
-from foodmatch.scenario import ScenarioConfig, generate_scenario
+from foodmatch.scenario import ScenarioConfig, generate_scenario, save_scenario, scenario_to_json
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
 POLICIES = {
@@ -65,6 +75,26 @@ MISREPORT_DIGESTS = {
 PAIRED_DIGESTS = {
     "fig8b": "5a31d7744c22522f1cf3132d4808af691050c857f3d6e362daa2bb2eb1d79a1e",
     "fig8c": "efe815cdade8840ccb57cc37a61a8853967d0ca7de73fd0aba50d2180e42de44",
+}
+
+SCENARIO_CONFIGS = {
+    "uniform-0": ScenarioConfig(n_requests=5000, seed=0),
+    "uniform-1": ScenarioConfig(n_requests=5000, seed=1),
+    "uniform-2": ScenarioConfig(n_requests=5000, seed=2),
+    "corridor-4": desk_volunteer_sweep_config(seed=4),
+    "deadlines-4": desk_policy_config(seed=4),
+    "hubs-7": ScenarioConfig(n_requests=1000, seed=7, donor_hubs=2, receiver_hubs=3),
+    "empty": ScenarioConfig(n_requests=0),
+}
+
+SCENARIO_FILE_DIGESTS = {
+    "uniform-0": "e4b2dc6af0530f9f94c34408c45201647e1ec956c44f86b1ca122b5fbdaa3fec",
+    "uniform-1": "581463768d4b5678b284166f19ade1286c6ebd83a7c27e52721645cba67817ac",
+    "uniform-2": "9ae7cd40fab6b8281966d4d5594f9ef139d8d1a4000d940297c040367f00cbaa",
+    "corridor-4": "b404073b1279ee09d7ec9543bffae1e7507a0706177b49b2d904030aecb9d93b",
+    "deadlines-4": "c4fe68f7e9f5d4db8b40a728bf31874ccdb6939176ad7472f038f69c8c9960b9",
+    "hubs-7": "f82fd1053f9d5b9de08736e1ddb3effbc397891da4985545427eca828ce20442",
+    "empty": "4a15ce2c5fa7f1fc3e49aacc37b6bc6dd998b323a1bb6baea1ddf53f795b3002",
 }
 
 
@@ -150,3 +180,13 @@ def test_misreport_outputs(which):
 @pytest.mark.parametrize("which", sorted(PAIRED_DIGESTS))
 def test_paired_policy_outputs(which):
     assert _digest(paired_payload(which)) == PAIRED_DIGESTS[which]
+
+
+@pytest.mark.parametrize("which", sorted(SCENARIO_FILE_DIGESTS))
+def test_scenario_file_bytes(which, tmp_path):
+    scenario = generate_scenario(SCENARIO_CONFIGS[which])
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SCENARIO_FILE_DIGESTS[which]
+    assert scenario_to_json(scenario).encode() == data

@@ -1,12 +1,15 @@
 """Per-run copies of requests: copy.deepcopy copies only the request shell.
 
 Runs and oracle probes deep-copy their requests before mutating run-time
-state. A request's copy is a new object whose fields are shared with the
-original; that is safe only while every field value is immutable and runs
-only rebind the run-time fields, which these tests pin down.
+state. A request's copy is a new object whose slots are bound to the
+original's field values; that is safe only while every field value is
+immutable and runs only rebind the run-time fields, which these tests pin
+down. The request and match records are slotted, so none of them carries a
+per-instance ``__dict__``.
 """
 
 import copy
+import json
 from dataclasses import fields
 
 import pytest
@@ -16,13 +19,15 @@ from foodmatch.model import (
     DonationRequest,
     FoodType,
     Location,
+    Match,
+    MatchStatus,
     RequestId,
     RequirementRequest,
     TimeWindow,
     VolunteerRequest,
 )
 from foodmatch.oracles import random_instance, sized_instance
-from foodmatch.scenario import ScenarioConfig, generate_scenario, scenario_from_json, scenario_to_json
+from foodmatch.scenario import ScenarioConfig, TimedRequest, generate_scenario, scenario_from_dict, scenario_to_json
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
 RUN_TIME_FIELDS = {"arrival", "remaining_amount", "remaining_payload"}
@@ -58,7 +63,9 @@ SOURCES = {
     "deadlines": lambda: _scenario_requests(desk_policy_config(seed=3, n_requests=300)),
     "from_json": lambda: [
         t.request
-        for t in scenario_from_json(scenario_to_json(generate_scenario(ScenarioConfig(n_requests=200, seed=8)))).requests
+        for t in scenario_from_dict(
+            json.loads(scenario_to_json(generate_scenario(ScenarioConfig(n_requests=200, seed=8))))
+        ).requests
     ],
     "random_instance": lambda: [r for seed in range(20) for r in _instance_requests(random_instance(seed))],
     "sized_instance": lambda: _instance_requests(sized_instance(7, 12, 12, 6)),
@@ -110,3 +117,20 @@ class TestShellCopy:
         assert first.match_counts["rejected"] > 0 and first.match_counts["expired"] > 0
         assert first == second
         assert [repr(t.request) for t in scenario.requests] == before
+
+
+class TestSlots:
+    def test_records_have_no_instance_dict(self):
+        donor, receiver, volunteer = one_of_each()
+        match = Match(id=1, donor=donor.id, volunteer=volunteer.id, receiver=receiver.id,
+                      vicinity=5.0, status=MatchStatus.DISPLAYED, created_at=600)
+        records = [donor, receiver, volunteer, match, TimedRequest(submit_at=400, request=donor),
+                   donor.location, donor.window, donor.id]
+        for record in records + copy.deepcopy(records):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    @pytest.mark.parametrize("value", [Location(1.5, -2.25), TimeWindow(600, 700), RequestId(7, 2, 3)],
+                             ids=["location", "window", "id"])
+    def test_frozen_values_deep_copy_equal(self, value):
+        clone = copy.deepcopy(value)
+        assert clone == value and hash(clone) == hash(value)

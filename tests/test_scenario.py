@@ -11,7 +11,7 @@ from foodmatch.scenario import (
     generate_scenario,
     load_scenario,
     save_scenario,
-    scenario_from_json,
+    scenario_from_dict,
     scenario_to_json,
     with_volunteer_count,
 )
@@ -131,14 +131,16 @@ class TestRoundTrip:
 
     def test_unknown_request_type_rejected(self):
         with pytest.raises(ValueError, match="unknown request type"):
-            scenario_from_json('{"config": {}, "requests": [{"type": "nonsense", "agent_id": 1, "submit_at": 0, "window": [0, 1]}]}')
+            scenario_from_dict(json.loads(
+                '{"config": {}, "requests": [{"type": "nonsense", "agent_id": 1, "submit_at": 0, "window": [0, 1]}]}'
+            ))
 
     def test_indented_layout_loads_to_the_same_scenario(self):
         scenario = generate_scenario(ScenarioConfig(n_requests=120, seed=6))
         text = scenario_to_json(scenario)
         indented = json.dumps(json.loads(text), indent=1, sort_keys=True)
         assert "\n" not in text and "\n" in indented
-        assert scenario_from_json(indented) == scenario_from_json(text) == scenario
+        assert scenario_from_dict(json.loads(indented)) == scenario_from_dict(json.loads(text)) == scenario
 
     def test_single_line_file_is_smaller_than_indented(self, tmp_path):
         scenario = generate_scenario(ScenarioConfig(n_requests=5000, seed=4))
