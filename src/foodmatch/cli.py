@@ -39,8 +39,8 @@ from .scenario import (
     finite_number,
     generate_scenario,
     load_scenario,
+    read_scenario,
     save_scenario,
-    scenario_from_dict,
 )
 from .simulate import AcceptanceModel, SimReport, run_simulation
 
@@ -356,8 +356,7 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
     The optional top-level "at" key (or the --at flag) fixes the iteration
     minute; without it, the latest gate-opening minute is used.
     """
-    payload = json.loads(Path(path).read_text())
-    scenario = scenario_from_dict(payload)
+    scenario, values = read_scenario(path)
     thresholds = scenario.config.thresholds
     donors, receivers, vols = [], [], []
     for arrival, timed in enumerate(scenario.requests, start=1):
@@ -369,7 +368,7 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
             receivers.append(request)
         else:
             vols.append(request)
-    now = at if at is not None else payload.get("at")
+    now = at if at is not None else values.get("at")
     if now is None:
         opens = [d.window.start - thresholds.t_d for d in donors]
         opens += [r.window.start - thresholds.t_r for r in receivers]

@@ -158,7 +158,11 @@ class _RequestShell:
         rebinds the three scalar run-time fields ``arrival``,
         ``remaining_amount`` and ``remaining_payload``, never mutating a
         field in place. ``copy.deepcopy`` memoizes the result, so shared
-        identity inside one copied structure is kept.
+        identity inside one copied structure is kept. A run deep-copies
+        only its list of requests, not the scenario's ``TimedRequest``
+        wrappers, so the copy costs one shell per request and the memo;
+        the field values, including the ints a loaded scenario shares, are
+        never duplicated.
         """
         return copy.copy(self)
 

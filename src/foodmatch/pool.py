@@ -36,14 +36,14 @@ class ActivePool:
         self.sequencer = sequencer or Sequencer()
         self._queued: dict[RequestId, Request] = {}
         self._registry: dict[RequestId, Request] = {}
-        self._submitted_raw_ids: set[RequestId] = set()
         self._lock = threading.Lock()
 
     def lookup(self, request_id: RequestId) -> Request:
         return self._registry[request_id]
 
-    def all_registered(self) -> list[RequestId]:
-        return list(self._registry)
+    def registered(self) -> Iterable[Request]:
+        """Every request the pool has accepted, in first-submission order."""
+        return self._registry.values()
 
     def queued_ids(self) -> set[RequestId]:
         with self._lock:
@@ -58,12 +58,13 @@ class ActivePool:
     def submit(self, pieces: list[Request], raw_id: RequestId) -> list[RequestId]:
         """Atomically sequence and enqueue the pieces of one raw submission."""
         with self._lock:
-            if raw_id in self._submitted_raw_ids:
+            # a raw id is taken once it is registered whole or split (its
+            # first meal piece is registered)
+            if raw_id in self._registry or RequestId(raw_id.agent_id, raw_id.request_seq, 1) in self._registry:
                 raise ValueError(f"duplicate request {raw_id}")
             for piece in pieces:
                 if piece.id in self._registry:
                     raise ValueError(f"duplicate request {piece.id}")
-            self._submitted_raw_ids.add(raw_id)
             for piece in pieces:
                 piece.arrival = self.sequencer.next()
                 self._store(piece)

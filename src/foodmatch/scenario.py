@@ -13,19 +13,24 @@ written on one line with sorted keys; request records carry a "type"
 discriminator, integer-minute times, [x, y] kilometer locations, and gram
 amounts. The writer streams the file one request record at a time, so the
 records of a whole city never exist as dicts or as one string at once. The
-loader drops the file text as soon as it is parsed, before it builds the
-requests; it validates every field, keeps every minute inside
-[0, working_end], and accepts any JSON layout.
+reader streams too: it reads the file in fixed-size text chunks and decodes
+the "requests" array one record at a time, building each request before it
+decodes the next, so it holds one record dict and about one chunk of text
+at a time; equal integers within one file share one int object. It validates
+every field, keeps every minute inside [0, working_end], accepts any JSON
+layout, and gives the same scenario and the same one-line errors as
+``scenario_from_dict(json.loads(text))``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 from .model import (
     PERISHABILITY,
@@ -375,25 +380,33 @@ def _request_to_record(timed: TimedRequest) -> dict:
     return base
 
 
+def _check_numbers(values, name: str, integral: bool) -> None:
+    """ValueError naming the field unless every value is an int or (unless
+    integral) a number that is finite as a float."""
+    for value in values:
+        kind = type(value)
+        if kind is int and integral:
+            continue
+        if kind not in (int, float) or integral:
+            raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        # false for NaN, the infinities and ints too large for a float
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def finite_number(value, name: str, integral: bool = False):
     """The value itself when it is an int, or (unless integral) a number
     that is finite as a float; else ValueError naming the field."""
-    kind = type(value)
-    if kind is int and integral:
-        return value
-    if kind not in (int, float) or integral:
-        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    # false for NaN, the infinities and ints too large for a float
-    if -sys.float_info.max <= value <= sys.float_info.max:
-        return value
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_numbers((value,), name, integral)
+    return value
 
 
 def _numbers(value, name: str, length: Optional[int] = None, integral: bool = False) -> tuple:
     if not isinstance(value, list) or (length is not None and len(value) != length):
         size = f"{length} " if length is not None else ""
         raise ValueError(f"{name} must be a list of {size}numbers, got {value!r}")
-    return tuple([finite_number(v, name, integral) for v in value])
+    _check_numbers(value, name, integral)
+    return tuple(value)
 
 
 _REQUIRED = object()
@@ -466,7 +479,43 @@ def _request_from_record(record) -> TimedRequest:
         )
     else:
         raise ValueError(f"unknown request type {kind!r}")
-    return TimedRequest(submit_at=_get(record, "submit_at", int), request=request)
+    submit_at = _get(record, "submit_at", int)
+    if submit_at < 0 or window.start < 0:
+        raise ValueError(f"minutes must not be negative, got submit_at {submit_at}, window start {window.start}")
+    return TimedRequest(submit_at=submit_at, request=request)
+
+
+class _RequestList:
+    """Requests built from their records one at a time.
+
+    The first bad record's error is held, not raised, until ``checked``
+    knows the config: syntax errors anywhere in the file and config errors
+    come first, and the window check needs ``working_end``, which a file may
+    give after its requests. The error still names the first bad record in
+    file order.
+    """
+
+    def __init__(self, records=()):
+        self.requests: list[TimedRequest] = []
+        self.error: Optional[str] = None
+        for record in records:
+            self.add(record)
+
+    def add(self, record) -> None:
+        if self.error is None:
+            try:
+                self.requests.append(_request_from_record(record))
+            except ValueError as exc:
+                self.error = f"request {len(self.requests)}: {exc}"
+
+    def checked(self, config: ScenarioConfig) -> list[TimedRequest]:
+        for index, timed in enumerate(self.requests):
+            end = timed.request.window.end
+            if end > config.working_end:
+                raise ValueError(f"request {index}: window ends at minute {end}, past working_end {config.working_end}")
+        if self.error is not None:
+            raise ValueError(self.error)
+        return self.requests
 
 
 _TUPLE_FIELDS = (
@@ -538,6 +587,13 @@ def scenario_to_json(scenario: Scenario) -> str:
     return "".join(_scenario_chunks(scenario))
 
 
+def _scenario(config, records) -> Scenario:
+    config = config_from_dict(config)
+    if not isinstance(records, _RequestList):
+        raise ValueError(f"requests must be a list, got {type(records).__name__}")
+    return Scenario(config=config, requests=records.checked(config))
+
+
 def scenario_from_dict(payload) -> Scenario:
     """Validate a parsed scenario file and build the scenario from it.
 
@@ -546,25 +602,127 @@ def scenario_from_dict(payload) -> Scenario:
     """
     if not isinstance(payload, dict):
         raise ValueError(f"scenario must be a JSON object, got {type(payload).__name__}")
-    config = config_from_dict(payload.get("config", {}))
     records = payload.get("requests", [])
-    if not isinstance(records, list):
-        raise ValueError(f"requests must be a list, got {type(records).__name__}")
-    requests = []
-    for index, record in enumerate(records):
+    if isinstance(records, list):
+        records = _RequestList(records)
+    return _scenario(payload.get("config", {}), records)
+
+
+_CHUNK_CHARS = 1 << 16
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _SharedInts(dict):
+    """A ``parse_int`` table for one file: equal integer literals decode to
+    one shared int object."""
+
+    def __missing__(self, digits: str) -> int:
+        value = self[digits] = int(digits)
+        return value
+
+
+class _JsonStream:
+    """JSON text read in fixed-size chunks and decoded one value at a time.
+
+    Only the text not yet decoded is held, so an error raised here cannot
+    say where in the file it lies.
+    """
+
+    def __init__(self, file: IO[str]):
+        self._file = file
+        self._decoder = json.JSONDecoder(parse_int=_SharedInts().__getitem__)
+        self._text, self._pos = "", 0
+
+    def _read_more(self) -> bool:
+        chunk = self._file.read(_CHUNK_CHARS)
+        self._text = self._text[self._pos:] + chunk
+        self._pos = 0
+        return bool(chunk)
+
+    def peek(self) -> str:
+        """The next non-whitespace character, or "" at the end of the file."""
+        while True:
+            self._pos = _WHITESPACE.match(self._text, self._pos).end()
+            if self._pos < len(self._text) or not self._read_more():
+                return self._text[self._pos:self._pos + 1]
+
+    def take(self, allowed: str) -> str:
+        """Consume the next non-whitespace character, one of ``allowed``."""
+        char = self.peek()
+        if not char or char not in allowed:
+            raise ValueError(f"expecting one of {allowed!r}")
+        self._pos += 1
+        return char
+
+    def items(self, opening: str, closing: str) -> Iterator[None]:
+        """Step through the array or object that starts here: yields once
+        at each item, which the caller consumes before resuming."""
+        self.take(opening)
+        if self.peek() == closing:
+            self._pos += 1
+            return
+        while True:
+            yield
+            if self.take("," + closing) == closing:
+                return
+
+    def key(self) -> str:
+        """Consume an object key and its colon."""
+        if self.peek() != '"':
+            raise ValueError("expecting a property name")
+        key = self.value()
+        self.take(":")
+        return key
+
+    def value(self):
+        """Decode the next JSON value."""
+        self.peek()  # past the whitespace, which raw_decode does not skip
+        while True:
+            try:
+                value, end = self._decoder.raw_decode(self._text, self._pos)
+            except json.JSONDecodeError:
+                # the value may run on into the next chunk
+                if not self._read_more():
+                    raise
+                continue
+            # so may a number that ends the text read so far
+            if end < len(self._text) or not self._read_more():
+                self._pos = end
+                return value
+
+
+
+def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
+    """Stream a scenario file: its scenario and its other top-level values
+    (such as an instance file's "at").
+
+    The result and the errors are those of
+    ``scenario_from_dict(json.loads(text))``, and the last of duplicate keys
+    wins, but each request is built as soon as its record is decoded.
+    """
+    path = Path(path)
+    values: dict = {}
+    with path.open() as file:
+        stream = _JsonStream(file)
         try:
-            timed = _request_from_record(record)
-            window = timed.request.window
-            if timed.submit_at < 0 or window.start < 0:
-                raise ValueError(
-                    f"minutes must not be negative, got submit_at {timed.submit_at}, window start {window.start}"
-                )
-            if window.end > config.working_end:
-                raise ValueError(f"window ends at minute {window.end}, past working_end {config.working_end}")
-        except ValueError as exc:
-            raise ValueError(f"request {index}: {exc}") from None
-        requests.append(timed)
-    return Scenario(config=config, requests=requests)
+            for _ in stream.items("{", "}"):
+                key = stream.key()
+                if key == "requests" and stream.peek() == "[":
+                    records = values[key] = _RequestList()
+                    for _ in stream.items("[", "]"):
+                        records.add(stream.value())
+                else:
+                    values[key] = stream.value()
+            if stream.peek():
+                raise ValueError("extra data")
+        except ValueError:
+            # undecodable text: a whole-text parse names the error as it
+            # always has (by line and column, or by the file's byte offset),
+            # and a top level that is not an object by its type
+            scenario_from_dict(json.loads(path.read_text()))
+            raise
+    scenario = _scenario(values.pop("config", {}), values.pop("requests", _RequestList()))
+    return scenario, values
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
@@ -573,5 +731,4 @@ def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    # the file text is a temporary that is freed once it is parsed
-    return scenario_from_dict(json.loads(Path(path).read_text()))
+    return read_scenario(path)[0]

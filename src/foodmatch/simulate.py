@@ -87,10 +87,10 @@ def run_simulation(
     engine = MatchingEngine(pool, thresholds, policy=policy, trace=eligibility)
     rng = random.Random(f"{acceptance.seed}:acceptance")
 
-    # runs never mutate the caller's scenario (requests carry live state)
-    schedule = copy.deepcopy(
-        sorted(scenario.requests, key=lambda t: (t.submit_at, t.request.id.agent_id))
-    )
+    schedule = sorted(scenario.requests, key=lambda t: (t.submit_at, t.request.id.agent_id))
+    # runs never mutate the caller's scenario: the requests carry live state,
+    # and only they are copied; the TimedRequest wrappers are only read
+    requests = copy.deepcopy([timed.request for timed in schedule])
     if schedule:
         start = min(scenario.config.working_start, schedule[0].submit_at)
     else:
@@ -109,7 +109,7 @@ def run_simulation(
                 f"(now={now}, horizon={horizon}, open groups={len(engine.open_groups)})"
             )
         while pending < len(schedule) and schedule[pending].submit_at <= now:
-            submit_request(schedule[pending].request, pool, thresholds)
+            submit_request(requests[pending], pool, thresholds)
             pending += 1
 
         groups = engine.iterate(now)
@@ -148,10 +148,11 @@ def _build_report(
 
     matches = [m for group in engine.groups for m in group.matches]
     accepted = [m for m in matches if m.status is MatchStatus.ACCEPTED]
-    accepted_donor_requests = {(m.donor.agent_id, m.donor.request_seq) for m in accepted}
+    accepted_meals = {m.donor for m in accepted}
     accepted_receivers = {m.receiver for m in accepted if m.receiver is not None}
-    accepted_receiver_requests = {(r.agent_id, r.request_seq) for r in accepted_receivers}
     accepted_volunteers = {m.volunteer for m in accepted if m.volunteer is not None}
+    accepted_donor_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_meals}
+    accepted_receiver_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_receivers}
 
     def pct(part: int, whole: int) -> float:
         return 100.0 * part / whole if whole else 0.0
@@ -177,8 +178,6 @@ def _build_report(
     for match in matches:
         match_counts[match.status.value] += 1
 
-    terminal, consistent = _terminal_states(engine, pool, accepted)
-
     accepted_groups = [
         {
             "group_id": g.id,
@@ -194,16 +193,34 @@ def _build_report(
         if g.status is MatchStatus.ACCEPTED
     ]
 
-    # grams read off the live requests, independently of the displayed matches
+    # terminal states and grams read off the live requests, independently of
+    # the displayed matches; a request both finished and still live in the
+    # engine breaks the lifecycle
+    active = engine.active_carry_ids()
+    terminal: dict[str, str] = {}
+    consistent = True
     meal_count = credited = carried = 0
-    for rid in pool.all_registered():
-        request = pool.lookup(rid)
+    for request in pool.registered():
+        rid = request.id
         if isinstance(request, DonationRequest):
             meal_count += 1
+            if rid in accepted_meals:
+                terminal[str(rid)] = "accepted"
+                consistent = consistent and rid not in active
+            else:
+                terminal[str(rid)] = "unmatched"
         elif isinstance(request, RequirementRequest):
             credited += request.amount - request.remaining_amount
+            if request.remaining_amount <= 0:
+                terminal[str(rid)] = "served"
+                consistent = consistent and rid not in active
+            elif rid in accepted_receivers:
+                terminal[str(rid)] = "partially_served"
+            else:
+                terminal[str(rid)] = "unserved"
         else:
             carried += request.payload_capacity - request.remaining_payload
+            terminal[str(rid)] = "assigned" if rid in accepted_volunteers else "unused"
     return SimReport(
         counts={"donors": n_d, "receivers": n_r, "volunteers": n_v, "meals": meal_count},
         allocation=allocation,
@@ -219,34 +236,3 @@ def _build_report(
         accepted_groups=accepted_groups,
         eligibility_universes=eligibility.seen if eligibility is not None else {},
     )
-
-
-def _terminal_states(engine: MatchingEngine, pool: ActivePool, accepted) -> tuple[dict[str, str], bool]:
-    accepted_meals = {m.donor for m in accepted}
-    accepted_receiver_ids = {m.receiver for m in accepted if m.receiver is not None}
-    accepted_volunteer_ids = {m.volunteer for m in accepted if m.volunteer is not None}
-    active = engine.active_carry_ids()
-
-    terminal: dict[str, str] = {}
-    consistent = True
-    for rid in pool.all_registered():
-        request = pool.lookup(rid)
-        if isinstance(request, DonationRequest):
-            if rid in accepted_meals:
-                terminal[str(rid)] = "accepted"
-                if rid in active:
-                    consistent = False
-            else:
-                terminal[str(rid)] = "unmatched"
-        elif isinstance(request, RequirementRequest):
-            if request.remaining_amount <= 0:
-                terminal[str(rid)] = "served"
-                if rid in active:
-                    consistent = False
-            elif rid in accepted_receiver_ids:
-                terminal[str(rid)] = "partially_served"
-            else:
-                terminal[str(rid)] = "unserved"
-        else:
-            terminal[str(rid)] = "assigned" if rid in accepted_volunteer_ids else "unused"
-    return terminal, consistent

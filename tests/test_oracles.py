@@ -1,5 +1,7 @@
 """Brute-force oracles: off-routing bound, assignment enumeration, misreports."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -185,6 +187,29 @@ class TestMisreports:
         instance = random_instance(2, max_donors=2, max_receivers=2, max_vols=0)
         report = exhaustive_misreports(instance)
         assert report.cases > 0
+
+    # seed offset s of sized_instance(5000 + s, 4, 4, 2, city=6.0) ->
+    # (improvements, hard gains, sha256 of the hard-gain cases)
+    CONTESTED = {
+        6: (18, 18, "e94b221cb400d82b5287d4e3c629c8fb1bf8c03e96062fa2c33b44cc1a13f975"),
+        32: (47, 30, "19c4ac1b475c499e95839a5c70d0642dec8bb987ae15834830e805ce5a2dbaae"),
+        86: (12, 12, "004f35d4f78e6b30d6564d1b9d6c8294176c0cffc181ab0346a9735959c76f68"),
+    }
+
+    @pytest.mark.parametrize("offset", sorted(CONTESTED))
+    def test_contested_market_donor_gains_are_pinned(self, offset):
+        """On small contested markets donors gain by misreporting: the
+        mechanism is not strategyproof for donors there. These are the three
+        instances with hard gains among offsets 0-99; a fix of the mechanism,
+        or a regression, changes the pinned figures."""
+        report = exhaustive_misreports(sized_instance(5000 + offset, 4, 4, 2, city=6.0))
+        hard = [
+            [c.agent_id, c.role, list(c.misreport), c.truthful_rank, c.misreport_rank]
+            for c in report.hard_violations
+        ]
+        assert {case[1] for case in hard} == {"donor"}
+        digest = hashlib.sha256(json.dumps(hard).encode()).hexdigest()
+        assert (len(report.improvements), len(hard), digest) == self.CONTESTED[offset]
 
     @pytest.mark.xfail(
         strict=True,

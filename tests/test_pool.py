@@ -90,6 +90,16 @@ class TestSplitting:
         with pytest.raises(ValueError, match="duplicate request"):
             submit_request(donation(), pool, TH)
 
+    @pytest.mark.parametrize("first, second", [(3500, 1500), (1500, 3500)])
+    def test_raw_id_taken_whole_or_split(self, first, second):
+        """A raw id stays taken whether it was stored whole or as meal pieces,
+        and whether or not the resubmission would be split."""
+        pool = ActivePool()
+        stored = submit_request(donation(amount=first), pool, TH)
+        with pytest.raises(ValueError, match=r"^duplicate request 1\.1$"):
+            submit_request(donation(amount=second), pool, TH)
+        assert [r.id for r in pool.drain()] == stored
+
     def test_invalid_amount_rejected(self):
         with pytest.raises(ValueError, match="invalid amount"):
             submit_request(donation(amount=-5), ActivePool(), TH)

@@ -3,13 +3,16 @@
 import json
 
 import pytest
+from test_cli import MALFORMED
 
+from foodmatch import scenario as scenario_module
 from foodmatch.model import DonationRequest, RequirementRequest, VolunteerRequest
 from foodmatch.scenario import (
     Scenario,
     ScenarioConfig,
     generate_scenario,
     load_scenario,
+    read_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_json,
@@ -152,3 +155,90 @@ class TestRoundTrip:
     def test_horizon(self):
         scenario = generate_scenario(ScenarioConfig(n_requests=50, seed=1))
         assert scenario.horizon() == max(t.request.window.end for t in scenario.requests)
+
+
+def _layouts() -> dict[str, str]:
+    """Scenario and instance files in every layout the reader accepts, and
+    broken ones it must reject."""
+    text = scenario_to_json(generate_scenario(ScenarioConfig(n_requests=40, seed=6)))
+    payload = json.loads(text)
+    config, records = payload["config"], payload["requests"]
+    dump = json.dumps
+    # record 5 lacks its window, and a working day ending before record 3's
+    # window does puts an earlier record past it
+    broken = records[:5] + [{k: v for k, v in records[5].items() if k != "window"}] + records[6:]
+    short_day = dict(config, working_end=records[3]["window"][1] - 1)
+    layouts = {
+        "one_line": text,
+        "indented": dump(payload, indent=2),
+        "tabs_and_crlf": dump(payload, indent="\t").replace("\n", "\r\n"),
+        "spaced_separators": dump(payload, separators=(" ,  ", " :\n")),
+        "config_after_requests": '{"requests": %s, "config": %s}' % (dump(records), dump(config)),
+        "short_day_after_requests": '{"requests": %s, "config": %s}' % (dump(broken), dump(short_day)),
+        "missing_window_config_after": '{"requests": %s, "config": %s}' % (dump(broken), dump(config)),
+        "config_error_after_bad_record": '{"requests": %s, "config": {"bogus": 1}}' % dump(broken),
+        "duplicate_keys_last_wins": '{"requests": %s, "config": %s, "requests": %s, "config": %s}'
+        % (dump(broken), dump(short_day), dump(records), dump(config)),
+        "duplicate_requests_not_a_list": '{"requests": %s, "requests": {"a": 1}}' % dump(records),
+        "empty_requests": '{"config": {}, "requests": [ ]}',
+        "empty_object": " {\n} ",
+        "instance_at": '{"at": 640, "requests": %s, "at": 650}' % dump(records[:6]),
+        "other_top_level_keys": '{"note": [1, {"a": null}], "requests": [], "n": -0}',
+        "truncated": text[:-40],
+        "trailing_data": text + " {}",
+        "trailing_comma": '{"requests": [%s, ]}' % dump(records[0]),
+        "missing_comma": '{"requests": [%s %s]}' % (dump(records[0]), dump(records[1])),
+        "key_not_a_string": '{"requests": [], 1: 2}',
+        "empty_file": "",
+        "over_long_integer": '{"requests": [], "n": %s}' % ("7" * 5000),
+    }
+    layouts.update({f"malformed_{name}": text for name, (text, _) in MALFORMED.items()})
+    layouts = {name: text.encode() for name, text in layouts.items()}
+    layouts["invalid_utf8"] = text.encode()[:5000] + b"\xff" + text.encode()[5001:]
+    return layouts
+
+
+LAYOUTS = _layouts()
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _whole_text(path):
+    payload = json.loads(path.read_text())
+    scenario = scenario_from_dict(payload)
+    return scenario, {k: v for k, v in payload.items() if k not in ("config", "requests")}
+
+
+class TestStreamingReader:
+    """read_scenario decodes one request record at a time; it must give what
+    a whole-text parse gives, including the one-line error."""
+
+    @pytest.mark.parametrize("chunk", [3, 64, None])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_same_as_whole_text_parse(self, layout, chunk, tmp_path, monkeypatch):
+        if chunk is not None:
+            # small chunks split keys, strings and numbers across reads
+            monkeypatch.setattr(scenario_module, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "scenario.json"
+        path.write_bytes(LAYOUTS[layout])
+        assert _outcome(lambda: read_scenario(path)) == _outcome(lambda: _whole_text(path))
+
+    def test_window_check_waits_for_a_later_config(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(LAYOUTS["short_day_after_requests"])
+        with pytest.raises(ValueError, match=r"^request [0-3]: window ends at minute \d+, past working_end"):
+            read_scenario(path)
+
+    def test_equal_integers_share_one_object(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(ScenarioConfig(n_requests=400, seed=3)), path)
+        values = [
+            v for t in load_scenario(path).requests
+            for v in (t.submit_at, t.request.window.start, t.request.window.end)
+        ]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
