@@ -11,6 +11,7 @@ from .engine import (
     assign_volunteers,
     ca_dtb,
     club_matches,
+    expire_stale_matches,
     gated,
     match_receivers,
     vicinity_candidate,
@@ -40,7 +41,7 @@ from .model import (
     TimeWindow,
     VolunteerRequest,
 )
-from .pool import ActivePool, expire_stale_matches, requeue_rejected, split_into_meals, submit_request
+from .pool import ActivePool, requeue_rejected, split_into_meals, submit_request
 from .scenario import Scenario, ScenarioConfig, generate_scenario, load_scenario, save_scenario
 from .simulate import AcceptanceModel, SimReport, run_simulation
 

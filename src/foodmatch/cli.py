@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import MatchPolicy, OrchestratorConfig
+from .engine import MatchPolicy, OrchestratorConfig, lead_minutes
 from .experiments import (
     desk_policy_config,
     desk_volunteer_sweep_config,
@@ -370,11 +370,10 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
             vols.append(request)
     now = at if at is not None else values.get("at")
     if now is None:
-        opens = [d.window.start - thresholds.t_d for d in donors]
-        opens += [r.window.start - thresholds.t_r for r in receivers]
-        if not opens:
+        # volunteers are left out: their lead is 0, so they would move the minute
+        if not (donors or receivers):
             raise ValueError("empty instance")
-        now = max(opens)
+        now = max(r.window.start - lead_minutes(r, thresholds) for r in donors + receivers)
     return Instance(donors=donors, receivers=receivers, vols=vols, now=finite_number(now, "at", integral=True),
                     thresholds=thresholds)
 

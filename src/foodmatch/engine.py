@@ -20,13 +20,16 @@ donor's event time, then by the globally unique arrival sequence. Matches
 whose donors never reach a receiver are rolled back at the end of the
 iteration: the reserved payload returns to the volunteer and both parties
 stay in the market.
+
+Served matches are clubbed into display groups; a group's status is the one
+record of their fate (displayed, accepted, rejected or expired).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
 from .geometry import (
@@ -48,7 +51,7 @@ from .model import (
     Thresholds,
     VolunteerRequest,
 )
-from .pool import ActivePool, expire_stale_matches, requeue_rejected
+from .pool import ActivePool, requeue_rejected
 
 RECEIVER_SORT_MODES = ("end", "start")
 PREFERENCE_MODES = ("eligible", "raw")
@@ -153,9 +156,7 @@ def vicinity_candidate(
     """How far this volunteer lets the donation travel before spoiling."""
     if food is Perishability.NON_PERISHABLE or v.ac:
         return distance(v.route_end, d.location)
-    if v.motored:
-        return thresholds.t_p_m
-    return thresholds.t_p_nm
+    return default_vicinity(food, v.motored, thresholds)
 
 
 class _VolunteerIndex:
@@ -188,9 +189,7 @@ def assign_volunteers(
     vols: Sequence[VolunteerRequest],
     food: Perishability,
     thresholds: Thresholds,
-    now: int,
     receiver_universe: set[int],
-    match_ids: Iterator[int],
 ) -> tuple[list[Match], list[Optional[VolunteerRequest]]]:
     """Give every gated donor a provisional match, with the best volunteer
     it can get.
@@ -238,17 +237,7 @@ def assign_volunteers(
             taken.add(chosen.id)
             sticky[d.id.agent_id] = chosen
 
-        matches.append(
-            Match(
-                id=next(match_ids),
-                donor=d.id,
-                volunteer=chosen.id if chosen else None,
-                receiver=None,
-                vicinity=reach,
-                status=MatchStatus.PENDING_VOLUNTEER_ONLY,
-                created_at=now,
-            )
-        )
+        matches.append(Match(donor=d.id, volunteer=chosen.id if chosen else None, receiver=None, vicinity=reach))
         volunteers.append(chosen)
     return matches, volunteers
 
@@ -396,7 +385,6 @@ def ca_dtb(
     now: int,
     thresholds: Thresholds,
     policy: MatchPolicy = MatchPolicy(),
-    match_ids: Optional[Iterator[int]] = None,
     trace: Optional[EligibilityTrace] = None,
 ) -> CaDtbResult:
     """Run one class's matching round and return the leftovers.
@@ -410,10 +398,7 @@ def ca_dtb(
     gated_receivers = gated(receivers, now, thresholds)
     receiver_universe = {r.id.agent_id for r in gated_receivers}
 
-    matches, volunteers = assign_volunteers(
-        gated_donors, vols, food, thresholds, now, receiver_universe,
-        itertools.count(1) if match_ids is None else match_ids,
-    )
+    matches, volunteers = assign_volunteers(gated_donors, vols, food, thresholds, receiver_universe)
     match_receivers(gated_receivers, gated_donors, matches, volunteers, thresholds, policy, trace)
 
     matched_donors: set[RequestId] = set()
@@ -435,7 +420,8 @@ def ca_dtb(
 @dataclass
 class DisplayGroup:
     """What one agent triple actually sees: meal matches with the same
-    (donor agent, volunteer, receiver) clubbed into a single record."""
+    (donor agent, volunteer, receiver) clubbed into a single record, whose
+    status is the fate of all of them."""
 
     id: int
     donor_agent: int
@@ -445,10 +431,7 @@ class DisplayGroup:
     total_amount: int
     created_at: int
     food: Perishability
-
-    @property
-    def status(self) -> MatchStatus:
-        return self.matches[0].status
+    status: MatchStatus = MatchStatus.DISPLAYED
 
 
 def club_matches(matches: Sequence[Match]) -> list[list[Match]]:
@@ -458,6 +441,17 @@ def club_matches(matches: Sequence[Match]) -> list[list[Match]]:
         key = (match.donor.agent_id, match.volunteer, match.receiver)
         groups.setdefault(key, []).append(match)
     return list(groups.values())
+
+
+def expire_stale_matches(groups: Iterable[DisplayGroup], now: int, thresholds: Thresholds) -> list[Match]:
+    """Expire displayed groups still unaccepted after created_at + t_w (the
+    deadline instant itself is within) and return their matches."""
+    expired: list[Match] = []
+    for group in groups:
+        if group.status is MatchStatus.DISPLAYED and now > group.created_at + thresholds.t_w:
+            group.status = MatchStatus.EXPIRED
+            expired.extend(group.matches)
+    return expired
 
 
 class MatchingEngine:
@@ -481,7 +475,6 @@ class MatchingEngine:
         self.carry = ClassifiedLists()
         self.groups: list[DisplayGroup] = []
         self.open_groups: list[DisplayGroup] = []
-        self._match_ids = itertools.count(1)
         self._group_ids = itertools.count(1)
 
     # -- bookkeeping ------------------------------------------------------
@@ -500,9 +493,6 @@ class MatchingEngine:
     def _display(self, result: CaDtbResult, food: Perishability, now: int) -> list[DisplayGroup]:
         displayed = []
         for bundle in club_matches(result.completed()):
-            for match in bundle:
-                match.status = MatchStatus.DISPLAYED
-                match.created_at = now
             group = DisplayGroup(
                 id=next(self._group_ids),
                 donor_agent=bundle[0].donor.agent_id,
@@ -525,7 +515,7 @@ class MatchingEngine:
 
         Drains the pool, classifies, matches perishable food first and
         displays its groups before the non-perishable round starts, then
-        expires stale displayed matches and requeues their requests.
+        expires stale displayed groups and requeues their requests.
         """
         snapshot = self.pool.drain()
         self.carry = trifurcate(snapshot, self.carry)
@@ -534,7 +524,7 @@ class MatchingEngine:
         result_p = ca_dtb(
             self.carry.pfd, self.carry.pfr, self.carry.v,
             Perishability.PERISHABLE, now, self.thresholds,
-            policy=self.policy, match_ids=self._match_ids, trace=self.trace,
+            policy=self.policy, trace=self.trace,
         )
         self.carry.pfd, self.carry.pfr, self.carry.v = (
             result_p.donors, result_p.receivers, result_p.vols,
@@ -544,7 +534,7 @@ class MatchingEngine:
         result_np = ca_dtb(
             self.carry.npfd, self.carry.npfr, self.carry.v,
             Perishability.NON_PERISHABLE, now, self.thresholds,
-            policy=self.policy, match_ids=self._match_ids, trace=self.trace,
+            policy=self.policy, trace=self.trace,
         )
         self.carry.npfd, self.carry.npfr, self.carry.v = (
             result_np.donors, result_np.receivers, result_np.vols,
@@ -555,20 +545,22 @@ class MatchingEngine:
         return displayed
 
     def _expire_and_requeue(self, now: int) -> None:
-        self._requeue([g for g in self.open_groups if expire_stale_matches(g.matches, now, self.thresholds)])
+        expire_stale_matches(self.open_groups, now, self.thresholds)
+        self._requeue([g for g in self.open_groups if g.status is MatchStatus.EXPIRED])
 
     def apply_decisions(self, decisions: Sequence[tuple[DisplayGroup, bool]]) -> None:
         """Record accept/reject outcomes for displayed groups.
 
         A clubbed group is a single notification, so the whole group shares
-        one fate. Rejected groups immediately requeue their requests.
+        one fate, set once on the group; its matches carry none. Decisions on
+        groups already settled are ignored. Rejected groups immediately
+        requeue their requests.
         """
         rejected = []
         for group, accepted in decisions:
             if group.status is not MatchStatus.DISPLAYED:
                 continue
-            for match in group.matches:
-                match.status = MatchStatus.ACCEPTED if accepted else MatchStatus.REJECTED
+            group.status = MatchStatus.ACCEPTED if accepted else MatchStatus.REJECTED
             if not accepted:
                 rejected.append(group)
         self._requeue(rejected)
@@ -582,6 +574,8 @@ class MatchingEngine:
             return
         carried = set(self.carry.all_ids())
         for group in failed:
+            if group.status not in (MatchStatus.REJECTED, MatchStatus.EXPIRED):
+                raise ValueError(f"illegal requeue: group {group.id} is {group.status.value}")
             for match in group.matches:
                 requeue_rejected(match, self.pool, already_active=carried)
 

@@ -69,9 +69,6 @@ class TimeWindow:
         if self.start > self.end:
             raise ValueError(f"window start {self.start} after end {self.end}")
 
-    def length(self) -> int:
-        return self.end - self.start
-
     def overlap_minutes(self, other: "TimeWindow") -> int:
         """Length of the intersection, 0 when the windows do not meet."""
         return max(0, min(self.end, other.end) - max(self.start, other.start))
@@ -249,6 +246,8 @@ Request = Union[DonationRequest, RequirementRequest, VolunteerRequest]
 
 
 class MatchStatus(Enum):
+    # no record carries this status; it only names the always-zero count
+    # that report.csv and report.json print and recorded digests pin
     PENDING_VOLUNTEER_ONLY = "pending_volunteer_only"
     DISPLAYED = "displayed"
     ACCEPTED = "accepted"
@@ -260,17 +259,14 @@ class MatchStatus(Enum):
 class Match:
     """A donor-meal assignment, optionally carrying transport and a receiver.
 
-    A displayed match becomes accepted only if every involved agent accepts
-    before created_at + t_w; otherwise it expires or is rejected and all
-    involved requests are requeued.
+    A match has no fate of its own: once served it is shown inside a
+    display group, and the group's status is the fate of all its matches.
+    requeued guards against returning one failed match's requests twice.
     """
 
-    id: int
     donor: RequestId
     volunteer: Optional[RequestId]
     receiver: Optional[RequestId]
     vicinity: float
-    status: MatchStatus
-    created_at: int
     delivered_amount: int = 0
     requeued: bool = False

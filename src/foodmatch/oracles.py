@@ -83,15 +83,14 @@ def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:
     trace = EligibilityTrace()
     snapshot = sorted(work.donors + work.receivers + work.vols, key=lambda r: r.arrival)
     lists = trifurcate(snapshot, ClassifiedLists())
-    match_ids = itertools.count(1)
 
     result_p = ca_dtb(
         lists.pfd, lists.pfr, lists.v, Perishability.PERISHABLE,
-        work.now, work.thresholds, policy=work.policy, match_ids=match_ids, trace=trace,
+        work.now, work.thresholds, policy=work.policy, trace=trace,
     )
     result_np = ca_dtb(
         lists.npfd, lists.npfr, result_p.vols, Perishability.NON_PERISHABLE,
-        work.now, work.thresholds, policy=work.policy, match_ids=match_ids, trace=trace,
+        work.now, work.thresholds, policy=work.policy, trace=trace,
     )
     return list(result_p.matches) + list(result_np.matches), trace
 

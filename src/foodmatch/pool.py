@@ -4,6 +4,8 @@ Submission and requeue may run concurrently with the matching engine; the
 pool guarantees linearizable insert/drain through a single lock. Arrival
 sequences are assigned here, at the server side, one per stored request, so
 split meal pieces are ordered among themselves by their fresh sequences.
+Deciding that a match failed (rejection or expiry) is the engine's job; the
+pool only returns a failed match's requests.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Container, Iterable, Optional
 from .model import (
     DonationRequest,
     Match,
-    MatchStatus,
     Request,
     RequestId,
     RequirementRequest,
@@ -148,15 +149,14 @@ def requeue_rejected(
 ) -> list[RequestId]:
     """Return every request involved in a failed match to the pool.
 
+    The caller vouches that the match's group was rejected or expired.
     Undoes the match's delivery: the volunteer gets its payload back and the
     receiver gets its requirement back. Requests listed in already_active
     (still live in the engine's carry lists) only have their amounts
     restored, they are not enqueued twice.
     """
-    if match.status not in (MatchStatus.REJECTED, MatchStatus.EXPIRED):
-        raise ValueError(f"illegal requeue: match {match.id} is {match.status.value}")
     if match.requeued:
-        raise ValueError(f"illegal requeue: match {match.id} already requeued")
+        raise ValueError(f"illegal requeue: match of {match.donor} already requeued")
     match.requeued = True
 
     requeued: list[RequestId] = []
@@ -178,17 +178,3 @@ def requeue_rejected(
             requeued.append(match.receiver)
 
     return requeued
-
-
-def expire_stale_matches(matches: Iterable[Match], now: int, thresholds: Thresholds) -> list[Match]:
-    """Expire displayed matches left unaccepted past the acceptance deadline.
-
-    The deadline instant itself still counts as within the window; only
-    now > created_at + t_w expires.
-    """
-    expired = []
-    for match in matches:
-        if match.status is MatchStatus.DISPLAYED and now > match.created_at + thresholds.t_w:
-            match.status = MatchStatus.EXPIRED
-            expired.append(match)
-    return expired

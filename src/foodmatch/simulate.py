@@ -16,12 +16,7 @@ from typing import Optional
 
 from .engine import EligibilityTrace, MatchingEngine, MatchPolicy, OrchestratorConfig
 from .geometry import DeliveryRecord
-from .model import (
-    DonationRequest,
-    MatchStatus,
-    RequirementRequest,
-    VolunteerRequest,
-)
+from .model import DonationRequest, MatchStatus, RequestId, RequirementRequest
 from .pool import ActivePool, submit_request
 from .scenario import Scenario
 
@@ -134,30 +129,38 @@ def _build_report(
     pool: ActivePool,
     eligibility: Optional[EligibilityTrace],
 ) -> SimReport:
-    donors: list[DonationRequest] = []
-    receivers: list[RequirementRequest] = []
-    volunteers: list[VolunteerRequest] = []
+    n_d = n_r = n_v = requested = 0
     for timed in scenario.requests:
         request = timed.request
         if isinstance(request, DonationRequest):
-            donors.append(request)
+            n_d += 1
         elif isinstance(request, RequirementRequest):
-            receivers.append(request)
+            n_r += 1
+            requested += request.amount
         else:
-            volunteers.append(request)
+            n_v += 1
 
-    matches = [m for group in engine.groups for m in group.matches]
-    accepted = [m for m in matches if m.status is MatchStatus.ACCEPTED]
-    accepted_meals = {m.donor for m in accepted}
-    accepted_receivers = {m.receiver for m in accepted if m.receiver is not None}
-    accepted_volunteers = {m.volunteer for m in accepted if m.volunteer is not None}
+    # a group's status is the fate of each of its matches, and they all
+    # share its volunteer and receiver
+    match_counts: dict[str, int] = {status.value: 0 for status in MatchStatus}
+    accepted_meals: set[RequestId] = set()
+    accepted_receivers: set[RequestId] = set()
+    accepted_volunteers: set[RequestId] = set()
+    served = 0
+    for group in engine.groups:
+        match_counts[group.status.value] += len(group.matches)
+        if group.status is MatchStatus.ACCEPTED:
+            accepted_meals.update(m.donor for m in group.matches)
+            accepted_receivers.add(group.receiver)
+            if group.volunteer is not None:
+                accepted_volunteers.add(group.volunteer)
+            served += group.total_amount
     accepted_donor_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_meals}
     accepted_receiver_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_receivers}
 
     def pct(part: int, whole: int) -> float:
         return 100.0 * part / whole if whole else 0.0
 
-    n_d, n_r, n_v = len(donors), len(receivers), len(volunteers)
     allocation = {
         "donors": pct(len(accepted_donor_requests), n_d),
         "receivers": pct(len(accepted_receiver_requests), n_r),
@@ -170,13 +173,6 @@ def _build_report(
             len(accepted_donor_requests) + len(accepted_receiver_requests), n_d + n_r
         ),
     }
-
-    served = sum(m.delivered_amount for m in accepted)
-    requested = sum(r.amount for r in receivers)
-
-    match_counts: dict[str, int] = {status.value: 0 for status in MatchStatus}
-    for match in matches:
-        match_counts[match.status.value] += 1
 
     accepted_groups = [
         {

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from foodmatch.cli import main
+from foodmatch.cli import load_instance, main
 
 
 def run_cli(*argv):
@@ -147,6 +147,27 @@ class TestOracleCommands:
 
     def test_missing_instance_exits_one(self, tmp_path):
         assert run_cli("oracle", "pareto", "--instance", str(tmp_path / "nope.json")) == 1
+
+    VOLUNTEER = {"type": "volunteer", "agent_id": 3, "submit_at": 0, "window": [700, 800],
+                 "route": [[9, 10], [13, 10]], "motored": True, "ac": False, "payload": 5000}
+
+    def test_minute_defaults_to_the_latest_gate_opening(self, tmp_path):
+        donor = _valid_record()  # window [700, 720]: opens at 700 - t_d = 580
+        requirement = {"type": "requirement", "agent_id": 2, "submit_at": 0, "window": [760, 800],
+                       "location": [12, 10], "food": "packaged_solid", "amount": 1000}
+        path = tmp_path / "tiny.json"
+        # a volunteer has no lead; counting it would move the minute to 700
+        path.write_text(json.dumps({"config": {}, "requests": [donor, requirement, self.VOLUNTEER]}))
+        assert load_instance(str(path)).now == 580
+        requirement["window"] = [775, 800]
+        path.write_text(json.dumps({"config": {}, "requests": [donor, requirement]}))
+        assert load_instance(str(path)).now == 595
+
+    def test_volunteer_only_instance_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "volunteers.json"
+        path.write_text(json.dumps({"config": {}, "requests": [self.VOLUNTEER]}))
+        assert run_cli("oracle", "pareto", "--instance", str(path)) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: empty instance"]
 
 
 class TestCheckGamma:

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 
 from foodmatch import engine
 from foodmatch.engine import (
+    MatchingEngine,
     MatchPolicy,
     assign_volunteers,
     ca_dtb,
     club_matches,
     collapse_ranks,
+    expire_stale_matches,
     gated,
     match_receivers,
     vicinity_candidate,
@@ -33,6 +35,7 @@ from foodmatch.model import (
     VolunteerRequest,
 )
 from foodmatch.oracles import Instance, run_instance
+from foodmatch.pool import ActivePool, requeue_rejected, submit_request
 
 TH = Thresholds()
 P = Perishability.PERISHABLE
@@ -146,7 +149,7 @@ class TestVicinityCandidate:
 def assign(donors, vols):
     """assign_volunteers for one perishable round at minute 0 with no gated
     receivers."""
-    return assign_volunteers(donors, vols, P, TH, 0, set(), itertools.count(1))
+    return assign_volunteers(donors, vols, P, TH, set())
 
 
 class TestAssignVolunteers:
@@ -162,7 +165,6 @@ class TestAssignVolunteers:
         d = donor(1)
         (match,), (chosen,) = assign([d], [])
         assert match.volunteer is None and chosen is None
-        assert match.status is MatchStatus.PENDING_VOLUNTEER_ONLY
         assert match.vicinity == 5.0
 
     def test_sticky_volunteer_until_payload_exhausted(self):
@@ -359,7 +361,7 @@ class TestCaDtb:
         d = donor(1)
         v = vol(90)
         result = ca_dtb([d], [], [v], P, 660, TH)
-        assert all(m.status is MatchStatus.PENDING_VOLUNTEER_ONLY for m in result.matches)
+        assert [m.receiver for m in result.matches] == [None]
         assert result.donors == [d]
         assert v in result.vols
         assert v.remaining_payload == v.payload_capacity  # reservation rolled back
@@ -470,26 +472,72 @@ class TestTieBreak:
 
 
 class TestClubbing:
-    def _match(self, mid, donor_agent, meal, volunteer, recv):
+    def _match(self, donor_agent, meal, volunteer, recv):
         return Match(
-            id=mid, donor=RequestId(donor_agent, 1, meal), volunteer=volunteer,
-            receiver=recv, vicinity=5.0, status=MatchStatus.DISPLAYED,
-            created_at=0, delivered_amount=1000,
+            donor=RequestId(donor_agent, 1, meal), volunteer=volunteer,
+            receiver=recv, vicinity=5.0, delivered_amount=1000,
         )
 
     def test_same_triple_clubbed(self):
         v, r = RequestId(90, 1), RequestId(50, 1)
-        groups = club_matches([self._match(i, 1, i, v, r) for i in (1, 2, 3)])
+        groups = club_matches([self._match(1, i, v, r) for i in (1, 2, 3)])
         assert len(groups) == 1 and len(groups[0]) == 3
 
     def test_different_receivers_not_clubbed(self):
         v = RequestId(90, 1)
         groups = club_matches([
-            self._match(1, 1, 1, v, RequestId(50, 1)),
-            self._match(2, 1, 2, v, RequestId(51, 1)),
+            self._match(1, 1, v, RequestId(50, 1)),
+            self._match(1, 2, v, RequestId(51, 1)),
         ])
         assert len(groups) == 2
 
     def test_single_match_identity(self):
-        groups = club_matches([self._match(1, 1, 0, None, RequestId(50, 1))])
+        groups = club_matches([self._match(1, 0, None, RequestId(50, 1))])
         assert len(groups) == 1 and len(groups[0]) == 1
+
+
+def displayed_group(meals=1):
+    """An engine and the one group it displays at minute 660 for a donor of
+    `meals` 1000 g meals, a receiver wanting all of them and a volunteer."""
+    pool = ActivePool()
+    for request in (donor(1, amount=1000 * meals), receiver(50, amount=1000 * meals), vol(90)):
+        submit_request(request, pool, TH)
+    eng = MatchingEngine(pool, TH)
+    (group,) = eng.iterate(660)
+    assert group.status is MatchStatus.DISPLAYED and len(group.matches) == meals
+    return eng, group
+
+
+class TestGroupLifecycle:
+    def test_boundary_instant_still_displayed(self):
+        eng, group = displayed_group()
+        assert expire_stale_matches([group], now=660 + TH.t_w, thresholds=TH) == []
+        assert group.status is MatchStatus.DISPLAYED
+        eng.iterate(660 + TH.t_w)
+        assert eng.open_groups == [group]
+
+    def test_expiry_returns_the_groups_matches(self):
+        _, group = displayed_group(meals=2)
+        expired = expire_stale_matches([group], now=661 + TH.t_w, thresholds=TH)
+        assert expired == group.matches
+        assert group.status is MatchStatus.EXPIRED
+
+    def test_accepted_group_never_expires(self):
+        eng, group = displayed_group()
+        eng.apply_decisions([(group, True)])
+        assert expire_stale_matches([group], now=10 ** 6, thresholds=TH) == []
+        assert group.status is MatchStatus.ACCEPTED
+
+    def test_second_requeue_of_a_match_raises(self):
+        eng, group = displayed_group()
+        eng.apply_decisions([(group, False)])
+        assert group.matches[0].requeued
+        with pytest.raises(ValueError, match="illegal requeue"):
+            requeue_rejected(group.matches[0], eng.pool)
+
+    def test_requeue_of_a_displayed_group_raises(self):
+        eng, group = displayed_group()
+        with pytest.raises(ValueError, match="illegal requeue"):
+            eng._requeue([group])
+        assert not group.matches[0].requeued
+        assert eng.pool.queued_ids() == set()

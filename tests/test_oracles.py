@@ -104,11 +104,9 @@ class TestAssignmentOracle:
         corrupted = []
         for m in matches:
             if m.donor.agent_id == 102:
-                corrupted.append(Match(m.id, m.donor, None, None, m.vicinity,
-                                       m.status, m.created_at, 0))
+                corrupted.append(Match(m.donor, None, None, m.vicinity, 0))
             elif m.donor.agent_id == 101:
-                corrupted.append(Match(m.id, m.donor, None, tracked.receiver, m.vicinity,
-                                       m.status, m.created_at, tracked.delivered_amount))
+                corrupted.append(Match(m.donor, None, tracked.receiver, m.vicinity, tracked.delivered_amount))
             elif m is not tracked:
                 corrupted.append(m)
         verdict = brute_force_pareto_oracle(instance, corrupted)

@@ -1,4 +1,4 @@
-"""Intake: meal splitting, drain semantics, requeue, match expiry."""
+"""Intake: meal splitting, drain semantics, requeue."""
 
 import threading
 
@@ -10,7 +10,6 @@ from foodmatch.model import (
     FoodType,
     Location,
     Match,
-    MatchStatus,
     RequestId,
     RequirementRequest,
     Thresholds,
@@ -19,7 +18,6 @@ from foodmatch.model import (
 )
 from foodmatch.pool import (
     ActivePool,
-    expire_stale_matches,
     requeue_rejected,
     split_into_meals,
     submit_request,
@@ -158,10 +156,7 @@ class TestRequeue:
         r = pool.lookup(r_id)
         v.remaining_payload -= 1000
         r.remaining_amount -= 1000
-        match = Match(
-            id=1, donor=d_id, volunteer=v_id, receiver=r_id, vicinity=20.0,
-            status=MatchStatus.REJECTED, created_at=600, delivered_amount=1000,
-        )
+        match = Match(donor=d_id, volunteer=v_id, receiver=r_id, vicinity=20.0, delivered_amount=1000)
         return pool, match, v, r
 
     def test_full_triple_requeued(self):
@@ -177,21 +172,12 @@ class TestRequeue:
         r_id = submit_request(requirement(agent=50, amount=1000), pool, TH)[0]
         pool.drain()
         pool.lookup(r_id).remaining_amount = 0
-        match = Match(
-            id=1, donor=d_id, volunteer=None, receiver=r_id, vicinity=5.0,
-            status=MatchStatus.EXPIRED, created_at=600, delivered_amount=1000,
-        )
+        match = Match(donor=d_id, volunteer=None, receiver=r_id, vicinity=5.0, delivered_amount=1000)
         assert len(requeue_rejected(match, pool)) == 2
 
     def test_double_requeue_errors(self):
         pool, match, _, _ = self._accepted_setup()
         requeue_rejected(match, pool)
-        with pytest.raises(ValueError, match="illegal requeue"):
-            requeue_rejected(match, pool)
-
-    def test_requeue_of_live_match_errors(self):
-        pool, match, _, _ = self._accepted_setup()
-        match.status = MatchStatus.DISPLAYED
         with pytest.raises(ValueError, match="illegal requeue"):
             requeue_rejected(match, pool)
 
@@ -207,26 +193,3 @@ class TestRequeue:
         before = v.arrival
         requeue_rejected(match, pool)
         assert pool.lookup(match.volunteer).arrival == before
-
-
-class TestExpiry:
-    def _displayed(self, created=100):
-        return Match(
-            id=1, donor=RequestId(1, 1), volunteer=None, receiver=RequestId(50, 1),
-            vicinity=5.0, status=MatchStatus.DISPLAYED, created_at=created, delivered_amount=0,
-        )
-
-    def test_expires_after_deadline(self):
-        match = self._displayed()
-        assert expire_stale_matches([match], now=116, thresholds=TH) == [match]
-        assert match.status is MatchStatus.EXPIRED
-
-    def test_accepted_before_deadline_kept(self):
-        match = self._displayed()
-        match.status = MatchStatus.ACCEPTED
-        assert expire_stale_matches([match], now=116, thresholds=TH) == []
-
-    def test_boundary_instant_still_within(self):
-        match = self._displayed()
-        assert expire_stale_matches([match], now=115, thresholds=TH) == []
-        assert match.status is MatchStatus.DISPLAYED

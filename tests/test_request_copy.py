@@ -20,7 +20,6 @@ from foodmatch.model import (
     FoodType,
     Location,
     Match,
-    MatchStatus,
     RequestId,
     RequirementRequest,
     TimeWindow,
@@ -122,8 +121,7 @@ class TestShellCopy:
 class TestSlots:
     def test_records_have_no_instance_dict(self):
         donor, receiver, volunteer = one_of_each()
-        match = Match(id=1, donor=donor.id, volunteer=volunteer.id, receiver=receiver.id,
-                      vicinity=5.0, status=MatchStatus.DISPLAYED, created_at=600)
+        match = Match(donor=donor.id, volunteer=volunteer.id, receiver=receiver.id, vicinity=5.0)
         records = [donor, receiver, volunteer, match, TimedRequest(submit_at=400, request=donor),
                    donor.location, donor.window, donor.id]
         for record in records + copy.deepcopy(records):
