@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import MatchPolicy, OrchestratorConfig, lead_minutes
+from .engine import PREFERENCE_MODES, RECEIVER_SORT_MODES, MatchPolicy, lead_minutes
 from .experiments import (
     desk_policy_config,
     desk_volunteer_sweep_config,
@@ -42,24 +42,11 @@ from .scenario import (
     read_scenario,
     save_scenario,
 )
-from .simulate import AcceptanceModel, SimReport, run_simulation
+from .simulate import TICK_MINUTES, AcceptanceModel, SimReport, check_tick, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-THRESHOLD_FLAGS = (
-    ("--t-o", "t_o", int),
-    ("--t-l", "t_l", float),
-    ("--t-m", "t_m", int),
-    ("--t-a", "t_a", float),
-    ("--t-p-nm", "t_p_nm", float),
-    ("--t-p-m", "t_p_m", float),
-    ("--t-np", "t_np", float),
-    ("--t-d", "t_d", int),
-    ("--t-r", "t_r", int),
-    ("--t-w", "t_w", int),
-)
 
 
 # fig8b and fig8c: (baseline policy, variant policy), CSV column labels, chart title
@@ -85,12 +72,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, dest, kind in THRESHOLD_FLAGS:
-        parser.add_argument(flag, dest=dest, type=kind, default=None)
+    # one flag per threshold, --t-p-nm for t_p_nm, parsed as its default's type
+    for f in fields(Thresholds):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
 
 def _thresholds_from_args(args, base: Thresholds) -> Thresholds:
-    overrides = {dest: getattr(args, dest) for _, dest, _ in THRESHOLD_FLAGS if getattr(args, dest) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds) if getattr(args, f.name) is not None}
     return replace(base, **overrides) if overrides else base
 
 
@@ -99,18 +87,6 @@ def _effective_seed(args) -> int:
     if env is not None:
         return int(env)
     return args.seed
-
-
-def _policy_from_args(args) -> MatchPolicy:
-    return MatchPolicy(receiver_sort=args.receiver_sort, preferences=args.preferences)
-
-
-def _acceptance_from_args(args, seed: int) -> AcceptanceModel:
-    return AcceptanceModel(
-        rejection_probability=args.reject_prob,
-        no_response_probability=args.no_response_prob,
-        seed=seed,
-    )
 
 
 def _load_scenario_with_overrides(args) -> Scenario:
@@ -141,12 +117,12 @@ def build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run one simulation")
     run.add_argument("--scenario", required=True)
-    run.add_argument("--receiver-sort", choices=("end", "start"), default="end")
-    run.add_argument("--preferences", choices=("eligible", "raw"), default="eligible")
+    run.add_argument("--receiver-sort", choices=RECEIVER_SORT_MODES, default=MatchPolicy.receiver_sort)
+    run.add_argument("--preferences", choices=PREFERENCE_MODES, default=MatchPolicy.preferences)
     run.add_argument("--reject-prob", type=float, default=0.0)
     run.add_argument("--no-response-prob", type=float, default=0.0)
     run.add_argument("--seed", type=int, default=0, help="acceptance-model seed")
-    run.add_argument("--tick", type=int, default=5)
+    run.add_argument("--tick", type=int, default=TICK_MINUTES)
     run.add_argument("--out", required=True, help="output directory")
     _add_threshold_flags(run)
 
@@ -158,7 +134,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--seeds", type=int, default=20)
     exp.add_argument("--fraction", type=float, default=20.0)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--tick", type=int, default=5)
+    exp.add_argument("--tick", type=int, default=TICK_MINUTES)
     _add_threshold_flags(exp)
 
     oracle = sub.add_parser("oracle", help="run a brute-force property check")
@@ -169,7 +145,7 @@ def build_parser() -> _Parser:
     gamma = sub.add_parser("check-gamma", help="verify the off-routing bound on a full run")
     gamma.add_argument("--scenario", required=True)
     gamma.add_argument("--seed", type=int, default=0)
-    gamma.add_argument("--tick", type=int, default=5)
+    gamma.add_argument("--tick", type=int, default=TICK_MINUTES)
     _add_threshold_flags(gamma)
 
     return parser
@@ -227,12 +203,15 @@ def _report_rows(report: SimReport) -> list[tuple]:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario_with_overrides(args)
-    seed = _effective_seed(args)
     report = run_simulation(
         scenario,
-        policy=_policy_from_args(args),
-        acceptance=_acceptance_from_args(args, seed),
-        orchestrator=OrchestratorConfig(tick_minutes=args.tick),
+        policy=MatchPolicy(receiver_sort=args.receiver_sort, preferences=args.preferences),
+        acceptance=AcceptanceModel(
+            rejection_probability=args.reject_prob,
+            no_response_probability=args.no_response_prob,
+            seed=_effective_seed(args),
+        ),
+        tick_minutes=args.tick,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -277,13 +256,11 @@ def _cmd_experiment(args) -> int:
     seed = _effective_seed(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    orchestrator = OrchestratorConfig(tick_minutes=args.tick)
+    check_tick(args.tick)  # before any scenario is built, and when --seeds 0 runs nothing
 
     if args.which == "fig8a":
         multiples = [float(m) for m in args.multiples.split(",")]
-        points = experiment_allocation_vs_volunteers(
-            config, multiples, orchestrator=orchestrator
-        )
+        points = experiment_allocation_vs_volunteers(config, multiples, tick_minutes=args.tick)
         write_csv(
             out / "fig8a.csv",
             ("multiple", "volunteers", "allocation_pct", "receiver_fulfillment_pct"),
@@ -303,7 +280,7 @@ def _cmd_experiment(args) -> int:
         return EXIT_OK
 
     if args.which == "fig8d":
-        report = experiment_manipulation(config, args.fraction, orchestrator=orchestrator, scenario=scenario)
+        report = experiment_manipulation(config, args.fraction, tick_minutes=args.tick, scenario=scenario)
         write_csv(
             out / "fig8d.csv",
             ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
@@ -329,7 +306,7 @@ def _cmd_experiment(args) -> int:
     name = args.which
     (baseline, variant), labels, title = PAIRED_EXPERIMENTS[name]
     seeds = list(range(seed, seed + args.seeds))
-    rows = experiment_paired_policies(config, seeds, baseline, variant, orchestrator=orchestrator)
+    rows = experiment_paired_policies(config, seeds, baseline, variant, tick_minutes=args.tick)
     write_csv(
         out / f"{name}.csv",
         ("seed",) + labels,
@@ -404,7 +381,7 @@ def _cmd_check_gamma(args) -> int:
     report = run_simulation(
         scenario,
         acceptance=AcceptanceModel(seed=_effective_seed(args)),
-        orchestrator=OrchestratorConfig(tick_minutes=args.tick),
+        tick_minutes=args.tick,
     )
     bad = gamma_violations(report.deliveries, scenario.config.thresholds)
     bound = 4.0 * scenario.config.thresholds.t_l

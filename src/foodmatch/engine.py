@@ -71,18 +71,6 @@ class MatchPolicy:
             raise ValueError(f"preferences must be one of {PREFERENCE_MODES}")
 
 
-@dataclass(frozen=True)
-class OrchestratorConfig:
-    max_iterations: int = 1 << 20
-    tick_minutes: int = 5
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tick_minutes < 1:
-            raise ValueError("tick_minutes must be at least 1")
-
-
 def collapse_ranks(preferred: Sequence[int], eligible_agents: Container[int]) -> tuple[dict[int, int], int]:
     """Extract and augment one submitted agent-id list against run-time
     eligibility.

@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .engine import MatchPolicy, OrchestratorConfig
+from .engine import MatchPolicy
 from .model import DonationRequest, FoodType, RequirementRequest
 from .oracles import MisreportReport, partner_index, score_misreport
 from .scenario import Scenario, ScenarioConfig, TimedRequest, generate_scenario, with_volunteer_count
-from .simulate import AcceptanceModel, SimReport, run_simulation
+from .simulate import TICK_MINUTES, AcceptanceModel, SimReport, run_simulation
 
 PERISHABLE_TYPES = (
     FoodType.FRESHLY_COOKED,
@@ -60,28 +60,15 @@ def desk_volunteer_sweep_config(seed: int = 0, n_requests: int = 400) -> Scenari
 
 def desk_policy_config(seed: int = 0, n_requests: int = 600) -> ScenarioConfig:
     """Desk-scale city for the policy experiments (receiver sorting and
-    preference updating): deadlines of widely varying tightness and scarce
-    donations make the serving order and the preference treatment bind."""
-    return ScenarioConfig(
-        n_requests=n_requests,
+    preference updating): the volunteer-sweep corridor with deadlines of
+    widely varying tightness and scarce donations, which make the serving
+    order and the preference treatment bind."""
+    return replace(
+        desk_volunteer_sweep_config(seed, n_requests),
         donor_fraction=0.2,
         receiver_fraction=0.5,
         volunteer_fraction=0.3,
-        seed=seed,
-        donor_hubs=1,
-        receiver_hubs=1,
-        hub_sigma=0.5,
-        hub_separation=(11.0, 16.0),
-        volunteer_near_agents=0.9,
         receiver_span=(30, 300),
-        donor_span=(60, 180),
-        receiver_amount_min=500,
-        receiver_amount_max=1500,
-        donor_amount_min=800,
-        donor_amount_max=2200,
-        motored_rate=0.85,
-        ac_rate=0.15,
-        food_types=PERISHABLE_TYPES,
         preference_lengths=(0, 1, 2, 3, 4),
     )
 
@@ -99,7 +86,7 @@ def experiment_allocation_vs_volunteers(
     multiples: Sequence[float],
     policy: MatchPolicy = MatchPolicy(),
     acceptance: AcceptanceModel = AcceptanceModel(),
-    orchestrator: OrchestratorConfig = OrchestratorConfig(),
+    tick_minutes: int = TICK_MINUTES,
 ) -> list[CurvePoint]:
     """Allocation as the volunteer pool grows in multiples of the donor count.
 
@@ -114,7 +101,7 @@ def experiment_allocation_vs_volunteers(
     for multiple in multiples:
         cfg = with_volunteer_count(config, round(multiple * n_d))
         scenario = generate_scenario(cfg)
-        report = run_simulation(scenario, policy, acceptance, orchestrator)
+        report = run_simulation(scenario, policy, acceptance, tick_minutes)
         points.append(
             CurvePoint(
                 multiple=multiple,
@@ -139,7 +126,7 @@ def experiment_paired_policies(
     baseline: MatchPolicy,
     variant: MatchPolicy,
     acceptance: AcceptanceModel = AcceptanceModel(),
-    orchestrator: OrchestratorConfig = OrchestratorConfig(),
+    tick_minutes: int = TICK_MINUTES,
 ) -> list[PairedRun]:
     """The baseline policy against the variant on the same scenario per seed.
 
@@ -150,8 +137,8 @@ def experiment_paired_policies(
     rows = []
     for seed in seeds:
         scenario = generate_scenario(replace(config, seed=seed))
-        baseline_run = run_simulation(scenario, baseline, acceptance, orchestrator)
-        variant_run = run_simulation(scenario, variant, acceptance, orchestrator)
+        baseline_run = run_simulation(scenario, baseline, acceptance, tick_minutes)
+        variant_run = run_simulation(scenario, variant, acceptance, tick_minutes)
         rows.append(
             PairedRun(
                 seed=seed,
@@ -219,7 +206,7 @@ def experiment_manipulation(
     config: ScenarioConfig,
     fraction: float,
     acceptance: AcceptanceModel = AcceptanceModel(),
-    orchestrator: OrchestratorConfig = OrchestratorConfig(),
+    tick_minutes: int = TICK_MINUTES,
     scenario: Optional[Scenario] = None,
 ) -> MisreportReport:
     """Bulk preference manipulation against the truthful baseline.
@@ -231,8 +218,8 @@ def experiment_manipulation(
     scenario = scenario if scenario is not None else generate_scenario(config)
     manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=config.seed)
 
-    truthful_report = run_simulation(scenario, acceptance=acceptance, orchestrator=orchestrator, trace=True)
-    manip_report = run_simulation(manipulated, acceptance=acceptance, orchestrator=orchestrator, trace=True)
+    truthful_report = run_simulation(scenario, acceptance=acceptance, tick_minutes=tick_minutes, trace=True)
+    manip_report = run_simulation(manipulated, acceptance=acceptance, tick_minutes=tick_minutes, trace=True)
 
     true_lists: dict[tuple[int, str], tuple[int, ...]] = {}
     for timed in scenario.requests:

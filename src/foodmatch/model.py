@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Union
 
@@ -136,9 +136,9 @@ class Thresholds:
     t_w: int = 15
 
     def __post_init__(self) -> None:
-        for name in ("t_o", "t_l", "t_m", "t_a", "t_p_nm", "t_p_m", "t_np", "t_d", "t_r", "t_w"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"threshold {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"threshold {f.name} must be positive")
         if not (self.t_p_nm <= self.t_p_m <= self.t_np):
             raise ValueError("reach thresholds must order t_p_nm <= t_p_m <= t_np")
 

@@ -518,22 +518,10 @@ class _RequestList:
         return self.requests
 
 
-_TUPLE_FIELDS = (
-    "preference_lengths",
-    "donor_lead",
-    "donor_span",
-    "receiver_lead",
-    "receiver_span",
-    "hub_separation",
-)
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
+    # asdict recurses into the thresholds; the JSON encoder writes tuples as lists
     data = asdict(config)
-    data["thresholds"] = asdict(config.thresholds)
     data["food_types"] = [food.value for food in config.food_types]
-    for name in _TUPLE_FIELDS:
-        data[name] = list(getattr(config, name))
     return data
 
 

@@ -14,11 +14,21 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import EligibilityTrace, MatchingEngine, MatchPolicy, OrchestratorConfig
+from .engine import EligibilityTrace, MatchingEngine, MatchPolicy
 from .geometry import DeliveryRecord
 from .model import DonationRequest, MatchStatus, RequestId, RequirementRequest
 from .pool import ActivePool, submit_request
 from .scenario import Scenario
+
+# minutes the clock advances per iteration, unless a run sets its own
+TICK_MINUTES = 5
+# a run that has not settled after this many ticks is a runaway
+MAX_ITERATIONS = 1 << 20
+
+
+def check_tick(tick_minutes: int) -> None:
+    if tick_minutes < 1:
+        raise ValueError("tick_minutes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,12 @@ def run_simulation(
     scenario: Scenario,
     policy: MatchPolicy = MatchPolicy(),
     acceptance: AcceptanceModel = AcceptanceModel(),
-    orchestrator: OrchestratorConfig = OrchestratorConfig(),
+    tick_minutes: int = TICK_MINUTES,
     trace: bool = False,
 ) -> SimReport:
-    """Run one scenario to completion and measure it."""
+    """Run one scenario to completion, advancing the clock tick_minutes
+    at a time, and measure it."""
+    check_tick(tick_minutes)
     thresholds = scenario.config.thresholds
     pool = ActivePool()
     eligibility = EligibilityTrace() if trace else None
@@ -92,15 +104,14 @@ def run_simulation(
         start = scenario.config.working_start
     horizon = scenario.horizon()
 
-    tick = orchestrator.tick_minutes
     now = start
     pending = 0
     iterations = 0
 
     while now <= horizon or engine.open_groups or pending < len(schedule):
-        if iterations >= orchestrator.max_iterations:
+        if iterations >= MAX_ITERATIONS:
             raise RuntimeError(
-                f"simulation did not settle within {orchestrator.max_iterations} iterations "
+                f"simulation did not settle within {MAX_ITERATIONS} iterations "
                 f"(now={now}, horizon={horizon}, open groups={len(engine.open_groups)})"
             )
         while pending < len(schedule) and schedule[pending].submit_at <= now:
@@ -118,7 +129,7 @@ def run_simulation(
             engine.apply_decisions(decisions)
 
         iterations += 1
-        now += tick
+        now += tick_minutes
 
     return _build_report(scenario, engine, pool, eligibility)
 

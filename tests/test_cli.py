@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, outputs, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from foodmatch.cli import load_instance, main
+from foodmatch.scenario import Scenario, load_scenario, save_scenario
 
 
 def run_cli(*argv):
@@ -174,6 +176,47 @@ class TestCheckGamma:
     def test_clean_run_exits_zero(self, small_scenario, capsys):
         assert run_cli("check-gamma", "--scenario", str(small_scenario), "--tick", "10") == 0
         assert "violations 0" in capsys.readouterr().out
+
+
+class TestSettingFlags:
+    """The threshold, policy and tick flags keep the types and checks of the
+    settings they derive from."""
+
+    def test_threshold_flag_equals_embedded_threshold(self, small_scenario, tmp_path):
+        scenario = load_scenario(small_scenario)
+        thresholds = replace(scenario.config.thresholds, t_l=40.0)
+        embedded = tmp_path / "embedded.json"
+        save_scenario(Scenario(config=replace(scenario.config, thresholds=thresholds), requests=scenario.requests),
+                      embedded)
+        outs = {name: tmp_path / name for name in ("flag", "embedded", "default")}
+        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(outs["flag"]), "--t-l", "40") == 0
+        assert run_cli("run", "--scenario", str(embedded), "--out", str(outs["embedded"])) == 0
+        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(outs["default"])) == 0
+        for name in ("report.csv", "deliveries.csv", "report.json"):
+            assert (outs["flag"] / name).read_bytes() == (outs["embedded"] / name).read_bytes(), name
+        assert (outs["flag"] / "deliveries.csv").read_bytes() != (outs["default"] / "deliveries.csv").read_bytes()
+
+    # an integer threshold stays integer-typed; a policy takes only the engine's modes
+    @pytest.mark.parametrize("flag", [("--t-o", "1.5"), ("--receiver-sort", "middle"), ("--preferences", "sorted")])
+    def test_value_outside_the_setting_exits_one(self, flag, small_scenario, tmp_path, capsys):
+        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), *flag) == 1
+        assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_float_threshold_takes_a_fraction(self, small_scenario, tmp_path):
+        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), "--t-l", "7.5") == 0
+
+    # fig8b with --seeds 0 runs no simulation, so only the CLI's own check refuses it
+    @pytest.mark.parametrize(
+        "command", [["run"], ["experiment", "fig8a"], ["experiment", "fig8b", "--seeds", "0"], ["check-gamma"]]
+    )
+    def test_zero_tick_exits_one(self, command, small_scenario, tmp_path, capsys):
+        argv = [*command, "--scenario", str(small_scenario), "--tick", "0"]
+        if command != ["check-gamma"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: tick_minutes must be at least 1"]
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def _valid_record(**changes):

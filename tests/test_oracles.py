@@ -129,6 +129,25 @@ class TestAssignmentOracle:
             verdict = brute_force_pareto_oracle(instance, matches)
             assert verdict.ok, f"seed {seed}: {verdict.describe()}"
 
+    def test_restricted_volunteers_keep_to_their_receivers(self):
+        # random_instance never restricts a volunteer; restricting every
+        # even-indexed one to the first receiver, with a wide drop-off band
+        # so volunteers carry often, makes the oracle judge the rule
+        carried = restricted = 0
+        for seed in range(200):
+            instance = random_instance(seed, thresholds=Thresholds(t_l=40.0))
+            first = (instance.receivers[0].id.agent_id,)
+            instance.vols = [replace(v, receivers=first) if i % 2 == 0 else v for i, v in enumerate(instance.vols)]
+            matches, _ = run_instance(instance)
+            verdict = brute_force_pareto_oracle(instance, matches)
+            assert verdict.ok, f"seed {seed}: {verdict.describe()}"
+            by_id = {v.id: v for v in instance.vols}
+            for m in matches:
+                if m.receiver is not None and m.volunteer is not None:
+                    carried += 1
+                    restricted += bool(by_id[m.volunteer].receivers)
+        assert (carried, restricted) == (46, 22)
+
     def test_dropped_pair_breaks_maximality(self):
         for seed in range(40):
             instance = random_instance(seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from foodmatch.engine import OrchestratorConfig
+from foodmatch import simulate
 from foodmatch.model import (
     DonationRequest,
     FoodType,
@@ -72,9 +72,10 @@ class TestToyRuns:
         assert report.match_counts["expired"] >= 1
         assert report.lifecycle_consistent
 
-    def test_max_iterations_guard(self):
+    def test_max_iterations_guard(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_ITERATIONS", 3)
         with pytest.raises(RuntimeError, match="did not settle"):
-            run_simulation(toy_scenario(), orchestrator=OrchestratorConfig(max_iterations=3))
+            run_simulation(toy_scenario())
 
 
 class TestSeededRuns:
