@@ -24,7 +24,7 @@ from .experiments import (
     experiment_manipulation,
     experiment_paired_policies,
 )
-from .model import DonationRequest, RequirementRequest, Thresholds
+from .model import DonationRequest, RequestId, RequirementRequest, Thresholds
 from .oracles import (
     Instance,
     brute_force_pareto_oracle,
@@ -336,8 +336,12 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
     scenario, values = read_scenario(path)
     thresholds = scenario.config.thresholds
     donors, receivers, vols = [], [], []
+    seen: set[RequestId] = set()
     for arrival, timed in enumerate(scenario.requests, start=1):
         request = timed.request
+        if request.id in seen:
+            raise ValueError(f"request {arrival - 1}: duplicate request {request.id}")
+        seen.add(request.id)
         request.arrival = arrival
         if isinstance(request, DonationRequest):
             donors.append(request)

@@ -35,8 +35,8 @@ from .classify import ClassifiedLists, trifurcate
 from .geometry import (
     default_vicinity,
     distance,
+    off_route_allowance,
     off_route_overhead,
-    volunteer_route,
     within_dropoff_band,
     within_pickup_radius,
 )
@@ -128,7 +128,7 @@ def volunteer_is_eligible(
         return False
     if v.window.overlap_minutes(d.window) < thresholds.t_o:
         return False
-    if not within_pickup_radius(d.location, volunteer_route(v), thresholds.t_l):
+    if not within_pickup_radius(d.location, v.route_start, v.route_end, thresholds.t_l):
         return False
     if v.receivers and not receiver_universe.intersection(v.receivers):
         return False
@@ -154,7 +154,7 @@ class _VolunteerIndex:
     def __init__(self, vols: Sequence[VolunteerRequest], t_l: float):
         self._cell = 1.0
         for v in vols:
-            allowance = t_l * distance(v.route_start, v.route_end) / 100.0
+            allowance = off_route_allowance(v.route_start, v.route_end, t_l)
             if allowance > self._cell:
                 self._cell = allowance
         self._grid: dict[tuple[int, int], list[VolunteerRequest]] = {}
@@ -250,7 +250,7 @@ def _pair_eligible(
     if volunteer is not None:
         if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
             return False
-        if not within_dropoff_band(r.location, volunteer_route(volunteer), thresholds.t_l):
+        if not within_dropoff_band(r.location, volunteer.route_start, volunteer.route_end, thresholds.t_l):
             return False
     if raw_mode:
         if d.preferred_receivers and r.id.agent_id not in d.preferred_receivers:
@@ -414,7 +414,7 @@ class DisplayGroup:
     id: int
     donor_agent: int
     volunteer: Optional[RequestId]
-    receiver: Optional[RequestId]
+    receiver: RequestId
     matches: list[Match]
     total_amount: int
     created_at: int
@@ -529,12 +529,9 @@ class MatchingEngine:
         )
         displayed.extend(self._display(result_np, Perishability.NON_PERISHABLE, now))
 
-        self._expire_and_requeue(now)
-        return displayed
-
-    def _expire_and_requeue(self, now: int) -> None:
         expire_stale_matches(self.open_groups, now, self.thresholds)
         self._requeue([g for g in self.open_groups if g.status is MatchStatus.EXPIRED])
+        return displayed
 
     def apply_decisions(self, decisions: Sequence[tuple[DisplayGroup, bool]]) -> None:
         """Record accept/reject outcomes for displayed groups.
@@ -575,10 +572,8 @@ class MatchingEngine:
                 continue
             volunteer = self.pool.lookup(group.volunteer)
             donor = self.pool.lookup(group.matches[0].donor)
-            receiver = self.pool.lookup(group.receiver) if group.receiver else None
-            if receiver is None:
-                continue
+            receiver = self.pool.lookup(group.receiver)
             records.append(
-                off_route_overhead(volunteer_route(volunteer), donor.location, receiver.location)
+                off_route_overhead(volunteer.route_start, volunteer.route_end, donor.location, receiver.location)
             )
         return records

@@ -9,6 +9,7 @@ comparison a controlled experiment rather than two unrelated draws.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ from .engine import MatchPolicy
 from .model import DonationRequest, FoodType, RequirementRequest
 from .oracles import MisreportReport, partner_index, score_misreport
 from .scenario import Scenario, ScenarioConfig, TimedRequest, generate_scenario, with_volunteer_count
-from .simulate import TICK_MINUTES, AcceptanceModel, SimReport, run_simulation
+from .simulate import TICK_MINUTES, SimReport, run_simulation
 
 PERISHABLE_TYPES = (
     FoodType.FRESHLY_COOKED,
@@ -84,8 +85,6 @@ class CurvePoint:
 def experiment_allocation_vs_volunteers(
     config: ScenarioConfig,
     multiples: Sequence[float],
-    policy: MatchPolicy = MatchPolicy(),
-    acceptance: AcceptanceModel = AcceptanceModel(),
     tick_minutes: int = TICK_MINUTES,
 ) -> list[CurvePoint]:
     """Allocation as the volunteer pool grows in multiples of the donor count.
@@ -94,14 +93,14 @@ def experiment_allocation_vs_volunteers(
     volunteer population is the experimental variable, so it stays out of
     the denominator.
     """
-    if not multiples or any(m < 0 for m in multiples):
-        raise ValueError("multiples must be non-empty and non-negative")
+    if not multiples or not all(0 <= m < math.inf for m in multiples):
+        raise ValueError("multiples must be non-empty, finite and non-negative")
     n_d, _, _ = config.counts()
     points = []
     for multiple in multiples:
         cfg = with_volunteer_count(config, round(multiple * n_d))
         scenario = generate_scenario(cfg)
-        report = run_simulation(scenario, policy, acceptance, tick_minutes)
+        report = run_simulation(scenario, tick_minutes=tick_minutes)
         points.append(
             CurvePoint(
                 multiple=multiple,
@@ -125,7 +124,6 @@ def experiment_paired_policies(
     seeds: Sequence[int],
     baseline: MatchPolicy,
     variant: MatchPolicy,
-    acceptance: AcceptanceModel = AcceptanceModel(),
     tick_minutes: int = TICK_MINUTES,
 ) -> list[PairedRun]:
     """The baseline policy against the variant on the same scenario per seed.
@@ -137,8 +135,8 @@ def experiment_paired_policies(
     rows = []
     for seed in seeds:
         scenario = generate_scenario(replace(config, seed=seed))
-        baseline_run = run_simulation(scenario, baseline, acceptance, tick_minutes)
-        variant_run = run_simulation(scenario, variant, acceptance, tick_minutes)
+        baseline_run = run_simulation(scenario, baseline, tick_minutes=tick_minutes)
+        variant_run = run_simulation(scenario, variant, tick_minutes=tick_minutes)
         rows.append(
             PairedRun(
                 seed=seed,
@@ -195,17 +193,12 @@ def manipulate_scenario(
 
 
 def _accepted_pairs(report: SimReport):
-    return (
-        (group["donor_agent"], group["receiver_agent"])
-        for group in report.accepted_groups
-        if group["receiver_agent"] != ""
-    )
+    return ((group["donor_agent"], group["receiver_agent"]) for group in report.accepted_groups)
 
 
 def experiment_manipulation(
     config: ScenarioConfig,
     fraction: float,
-    acceptance: AcceptanceModel = AcceptanceModel(),
     tick_minutes: int = TICK_MINUTES,
     scenario: Optional[Scenario] = None,
 ) -> MisreportReport:
@@ -218,8 +211,8 @@ def experiment_manipulation(
     scenario = scenario if scenario is not None else generate_scenario(config)
     manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=config.seed)
 
-    truthful_report = run_simulation(scenario, acceptance=acceptance, tick_minutes=tick_minutes, trace=True)
-    manip_report = run_simulation(manipulated, acceptance=acceptance, tick_minutes=tick_minutes, trace=True)
+    truthful_report = run_simulation(scenario, tick_minutes=tick_minutes, trace=True)
+    manip_report = run_simulation(manipulated, tick_minutes=tick_minutes, trace=True)
 
     true_lists: dict[tuple[int, str], tuple[int, ...]] = {}
     for timed in scenario.requests:

@@ -11,19 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Location, Perishability, Thresholds, VolunteerRequest
-
-
-@dataclass(frozen=True)
-class Route:
-    start: Location
-    end: Location
-
-    def length(self) -> float:
-        return distance(self.start, self.end)
-
-    def is_degenerate(self) -> bool:
-        return self.start == self.end
+from .model import Location, Perishability, Thresholds
 
 
 @dataclass(frozen=True)
@@ -41,10 +29,10 @@ def distance(a: Location, b: Location) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def point_to_segment_distance(p: Location, route: Route) -> float:
+def point_to_segment_distance(p: Location, start: Location, end: Location) -> float:
     """Minimum distance from p to the closed segment start->end."""
-    ax, ay = route.start.x, route.start.y
-    bx, by = route.end.x, route.end.y
+    ax, ay = start.x, start.y
+    bx, by = end.x, end.y
     abx, aby = bx - ax, by - ay
     norm_sq = abx * abx + aby * aby
     if norm_sq == 0.0:
@@ -54,32 +42,32 @@ def point_to_segment_distance(p: Location, route: Route) -> float:
     return math.hypot(p.x - (ax + t * abx), p.y - (ay + t * aby))
 
 
-def off_route_allowance(route: Route, t_l: float) -> float:
+def off_route_allowance(start: Location, end: Location, t_l: float) -> float:
     """Manageable diversion radius: t_l percent of the route length."""
-    return t_l * route.length() / 100.0
+    return t_l * distance(start, end) / 100.0
 
 
-def within_pickup_radius(donor_loc: Location, route: Route, t_l: float) -> bool:
+def within_pickup_radius(donor_loc: Location, start: Location, end: Location, t_l: float) -> bool:
     """Donor reachable for pickup: within t_l% of route length from the route start."""
-    if route.is_degenerate():
+    if start == end:
         return False
-    return distance(donor_loc, route.start) <= off_route_allowance(route, t_l)
+    return distance(donor_loc, start) <= off_route_allowance(start, end, t_l)
 
 
-def within_dropoff_band(recv_loc: Location, route: Route, t_l: float) -> bool:
+def within_dropoff_band(recv_loc: Location, start: Location, end: Location, t_l: float) -> bool:
     """Receiver reachable for drop-off: within t_l% of route length from the route."""
-    if route.is_degenerate():
+    if start == end:
         return False
-    return point_to_segment_distance(recv_loc, route) <= off_route_allowance(route, t_l)
+    return point_to_segment_distance(recv_loc, start, end) <= off_route_allowance(start, end, t_l)
 
 
-def off_route_overhead(route: Route, pickup: Location, dropoff: Location) -> DeliveryRecord:
+def off_route_overhead(start: Location, end: Location, pickup: Location, dropoff: Location) -> DeliveryRecord:
     """Extra travel for one delivery: detour-and-return at pickup plus at drop-off."""
-    length = route.length()
+    length = distance(start, end)
     if length == 0.0:
         raise ValueError("zero-length route")
-    pickup_km = distance(route.start, pickup)
-    dropoff_km = point_to_segment_distance(dropoff, route)
+    pickup_km = distance(start, pickup)
+    dropoff_km = point_to_segment_distance(dropoff, start, end)
     overhead_km = 2.0 * pickup_km + 2.0 * dropoff_km
     return DeliveryRecord(
         route_length=length,
@@ -102,7 +90,3 @@ def default_vicinity(food: Perishability, motored: Optional[bool], thresholds: T
     if motored:
         return thresholds.t_p_m
     return thresholds.t_p_nm
-
-
-def volunteer_route(v: VolunteerRequest) -> Route:
-    return Route(v.route_start, v.route_end)

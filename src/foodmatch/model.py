@@ -6,7 +6,6 @@ This module defines the fundamental data carried through the system:
 - Thresholds: the ten operating parameters that govern every eligibility test
 - DonationRequest / RequirementRequest / VolunteerRequest: agent intents
 - Match: a (donor meal, optional volunteer, optional receiver) assignment
-- Sequencer: the server-side monotone counter that totally orders requests
 
 Times are integer minutes since the scenario epoch; amounts are integer
 grams; distances are kilometers. Integer minutes keep tie-breaking exact.
@@ -15,8 +14,7 @@ grams; distances are kilometers. Integer minutes keep tie-breaking exact.
 from __future__ import annotations
 
 import copy
-import itertools
-import threading
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Union
@@ -92,22 +90,6 @@ class RequestId:
         return f"{self.agent_id}.{self.request_seq}"
 
 
-class Sequencer:
-    """Server-side monotone counter. Thread-safe; values start at 1.
-
-    The issued sequence replaces wall-clock submit timestamps: it is unique
-    across all requests and provides the supreme tie-breaking key.
-    """
-
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(start)
-        self._lock = threading.Lock()
-
-    def next(self) -> int:
-        with self._lock:
-            return next(self._counter)
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """The ten operating parameters.
@@ -137,8 +119,9 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"threshold {f.name} must be positive")
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"threshold {f.name} must be positive and finite, got {value!r}")
         if not (self.t_p_nm <= self.t_p_m <= self.t_np):
             raise ValueError("reach thresholds must order t_p_nm <= t_p_m <= t_np")
 
@@ -207,6 +190,8 @@ class RequirementRequest(_RequestShell):
     def __post_init__(self) -> None:
         if self.amount <= 0:
             raise ValueError("invalid amount")
+        if len(set(self.preferred_donors)) != len(self.preferred_donors):
+            raise ValueError("duplicate entries in preferred donors")
         if self.remaining_amount < 0:
             self.remaining_amount = self.amount
         if self.remaining_amount > self.amount:

@@ -29,7 +29,7 @@ from typing import Container, Iterable, Optional, Sequence
 
 from .classify import ClassifiedLists, trifurcate
 from .engine import EligibilityTrace, MatchPolicy, ca_dtb, gated
-from .geometry import default_vicinity, distance, volunteer_route, within_dropoff_band
+from .geometry import default_vicinity, distance, within_dropoff_band
 from .model import (
     PERISHABILITY,
     DonationRequest,
@@ -152,7 +152,7 @@ class _OracleWorld:
         if volunteer is not None:
             if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
                 return False
-            if not within_dropoff_band(r.location, volunteer_route(volunteer), self.thresholds.t_l):
+            if not within_dropoff_band(r.location, volunteer.route_start, volunteer.route_end, self.thresholds.t_l):
                 return False
         if self.raw_mode:
             if d.preferred_receivers and r.id.agent_id not in d.preferred_receivers:

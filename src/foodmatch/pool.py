@@ -2,16 +2,18 @@
 
 Submission and requeue may run concurrently with the matching engine; the
 pool guarantees linearizable insert/drain through a single lock. Arrival
-sequences are assigned here, at the server side, one per stored request, so
-split meal pieces are ordered among themselves by their fresh sequences.
+sequences are assigned here, at the server side, one per stored request: they
+replace wall-clock submit times as the final tie-break, and split meal pieces
+are ordered among themselves by their fresh sequences.
 Deciding that a match failed (rejection or expiry) is the engine's job; the
 pool only returns a failed match's requests.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable
 
 from .model import (
     DonationRequest,
@@ -19,7 +21,6 @@ from .model import (
     Request,
     RequestId,
     RequirementRequest,
-    Sequencer,
     Thresholds,
     VolunteerRequest,
 )
@@ -33,8 +34,9 @@ class ActivePool:
     requeued by id later.
     """
 
-    def __init__(self, sequencer: Optional[Sequencer] = None):
-        self.sequencer = sequencer or Sequencer()
+    def __init__(self) -> None:
+        # arrival sequence numbers, 1 upwards; advanced only under the lock
+        self._arrivals = itertools.count(1)
         self._queued: dict[RequestId, Request] = {}
         self._registry: dict[RequestId, Request] = {}
         self._lock = threading.Lock()
@@ -50,12 +52,6 @@ class ActivePool:
         with self._lock:
             return set(self._queued)
 
-    def _store(self, request: Request) -> None:
-        if request.id in self._queued:
-            raise ValueError(f"duplicate request {request.id}")
-        self._queued[request.id] = request
-        self._registry[request.id] = request
-
     def submit(self, pieces: list[Request], raw_id: RequestId) -> list[RequestId]:
         """Atomically sequence and enqueue the pieces of one raw submission."""
         with self._lock:
@@ -67,8 +63,9 @@ class ActivePool:
                 if piece.id in self._registry:
                     raise ValueError(f"duplicate request {piece.id}")
             for piece in pieces:
-                piece.arrival = self.sequencer.next()
-                self._store(piece)
+                piece.arrival = next(self._arrivals)
+                self._queued[piece.id] = piece
+                self._registry[piece.id] = piece
         return [piece.id for piece in pieces]
 
     def readd(self, request: Request) -> bool:

@@ -131,26 +131,10 @@ def run_simulation(
         iterations += 1
         now += tick_minutes
 
-    return _build_report(scenario, engine, pool, eligibility)
+    return _build_report(engine, pool, eligibility)
 
 
-def _build_report(
-    scenario: Scenario,
-    engine: MatchingEngine,
-    pool: ActivePool,
-    eligibility: Optional[EligibilityTrace],
-) -> SimReport:
-    n_d = n_r = n_v = requested = 0
-    for timed in scenario.requests:
-        request = timed.request
-        if isinstance(request, DonationRequest):
-            n_d += 1
-        elif isinstance(request, RequirementRequest):
-            n_r += 1
-            requested += request.amount
-        else:
-            n_v += 1
-
+def _build_report(engine: MatchingEngine, pool: ActivePool, eligibility: Optional[EligibilityTrace]) -> SimReport:
     # a group's status is the fate of each of its matches, and they all
     # share its volunteer and receiver
     match_counts: dict[str, int] = {status.value: 0 for status in MatchStatus}
@@ -168,6 +152,41 @@ def _build_report(
             served += group.total_amount
     accepted_donor_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_meals}
     accepted_receiver_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_receivers}
+
+    # role counts, terminal states and grams read off the live requests,
+    # independently of the displayed matches; a split donation counts as one
+    # donor request, by its meal 1. A request both finished and still live in
+    # the engine breaks the lifecycle
+    active = engine.active_carry_ids()
+    terminal: dict[str, str] = {}
+    consistent = True
+    n_d = n_r = n_v = requested = meal_count = credited = carried = 0
+    for request in pool.registered():
+        rid = request.id
+        if isinstance(request, DonationRequest):
+            if rid.meal_seq <= 1:
+                n_d += 1
+            meal_count += 1
+            if rid in accepted_meals:
+                terminal[str(rid)] = "accepted"
+                consistent = consistent and rid not in active
+            else:
+                terminal[str(rid)] = "unmatched"
+        elif isinstance(request, RequirementRequest):
+            n_r += 1
+            requested += request.amount
+            credited += request.amount - request.remaining_amount
+            if request.remaining_amount <= 0:
+                terminal[str(rid)] = "served"
+                consistent = consistent and rid not in active
+            elif rid in accepted_receivers:
+                terminal[str(rid)] = "partially_served"
+            else:
+                terminal[str(rid)] = "unserved"
+        else:
+            n_v += 1
+            carried += request.payload_capacity - request.remaining_payload
+            terminal[str(rid)] = "assigned" if rid in accepted_volunteers else "unused"
 
     def pct(part: int, whole: int) -> float:
         return 100.0 * part / whole if whole else 0.0
@@ -190,8 +209,8 @@ def _build_report(
             "group_id": g.id,
             "donor_agent": g.donor_agent,
             "volunteer_agent": g.volunteer.agent_id if g.volunteer else "",
-            "receiver_agent": g.receiver.agent_id if g.receiver else "",
-            "receiver": str(g.receiver) if g.receiver else "",
+            "receiver_agent": g.receiver.agent_id,
+            "receiver": str(g.receiver),
             "grams": g.total_amount,
             "created_at": g.created_at,
             "food": g.food.value,
@@ -199,35 +218,6 @@ def _build_report(
         for g in engine.groups
         if g.status is MatchStatus.ACCEPTED
     ]
-
-    # terminal states and grams read off the live requests, independently of
-    # the displayed matches; a request both finished and still live in the
-    # engine breaks the lifecycle
-    active = engine.active_carry_ids()
-    terminal: dict[str, str] = {}
-    consistent = True
-    meal_count = credited = carried = 0
-    for request in pool.registered():
-        rid = request.id
-        if isinstance(request, DonationRequest):
-            meal_count += 1
-            if rid in accepted_meals:
-                terminal[str(rid)] = "accepted"
-                consistent = consistent and rid not in active
-            else:
-                terminal[str(rid)] = "unmatched"
-        elif isinstance(request, RequirementRequest):
-            credited += request.amount - request.remaining_amount
-            if request.remaining_amount <= 0:
-                terminal[str(rid)] = "served"
-                consistent = consistent and rid not in active
-            elif rid in accepted_receivers:
-                terminal[str(rid)] = "partially_served"
-            else:
-                terminal[str(rid)] = "unserved"
-        else:
-            carried += request.payload_capacity - request.remaining_payload
-            terminal[str(rid)] = "assigned" if rid in accepted_volunteers else "unused"
     return SimReport(
         counts={"donors": n_d, "receivers": n_r, "volunteers": n_v, "meals": meal_count},
         allocation=allocation,

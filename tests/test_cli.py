@@ -91,6 +91,14 @@ class TestExperiments:
         svg = (out / "fig8a.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("multiple", ["inf", "nan"])
+    def test_fig8a_non_finite_multiple_exits_one(self, multiple, small_scenario, tmp_path, capsys):
+        out = tmp_path / "fig8a"
+        argv = ("experiment", "fig8a", "--scenario", str(small_scenario), "--multiples", f"1,{multiple}", "--out", str(out))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: multiples must be non-empty, finite and non-negative"]
+        assert not (out / "fig8a.csv").exists()
+
     def test_fig8b_outputs(self, small_scenario, tmp_path):
         out = tmp_path / "fig8b"
         assert run_cli(
@@ -165,6 +173,14 @@ class TestOracleCommands:
         path.write_text(json.dumps({"config": {}, "requests": [donor, requirement]}))
         assert load_instance(str(path)).now == 595
 
+    @pytest.mark.parametrize("which", ["pareto", "strategyproof"])
+    def test_repeated_request_id_exits_one(self, which, tmp_path, capsys):
+        # a second record for donation 1.1, not a false counterexample
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"config": {}, "requests": [_valid_record(), _valid_record(location=[11, 10])]}))
+        assert run_cli("oracle", which, "--instance", str(path)) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: request 1: duplicate request 1.1"]
+
     def test_volunteer_only_instance_exits_one(self, tmp_path, capsys):
         path = tmp_path / "volunteers.json"
         path.write_text(json.dumps({"config": {}, "requests": [self.VOLUNTEER]}))
@@ -202,6 +218,18 @@ class TestSettingFlags:
         assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), *flag) == 1
         assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_one(self, value, small_scenario, tmp_path, capsys):
+        # refused before anything is written, not by the next command that reads it
+        for argv in (
+            ("generate", "--requests", "30", "--out", str(tmp_path / "out.json")),
+            ("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out")),
+        ):
+            assert run_cli(*argv, f"--t-l={value}") == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: threshold t_l must be positive and finite"), err
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
 
     def test_float_threshold_takes_a_fraction(self, small_scenario, tmp_path):
         assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), "--t-l", "7.5") == 0
@@ -245,6 +273,11 @@ MALFORMED = {
         "request 1: minutes must not be negative",
     ),
     "negative_window_start": (json.dumps({"requests": [_valid_record(window=[-10, 720])]}), "request 0: minutes must not be negative"),
+    "duplicate_preferred_donors": (
+        json.dumps({"requests": [_valid_record(), _valid_record(
+            type="requirement", agent_id=2, window=[760, 800], preferred=[5, 7, 5])]}),
+        "request 1: duplicate entries in preferred donors",
+    ),
 }
 
 

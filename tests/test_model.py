@@ -1,7 +1,6 @@
-"""Domain model: sequencer, tie-break ordering, taxonomy, invariants."""
+"""Domain model: tie-break ordering, taxonomy, invariants."""
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,27 +15,10 @@ from foodmatch.model import (
     Perishability,
     RequestId,
     RequirementRequest,
-    Sequencer,
     Thresholds,
     TimeWindow,
     VolunteerRequest,
 )
-
-
-class TestSequencer:
-    def test_first_call_is_one(self):
-        assert Sequencer().next() == 1
-
-    def test_strictly_increasing(self):
-        seq = Sequencer()
-        assert [seq.next() for _ in range(5)] == [1, 2, 3, 4, 5]
-
-    def test_concurrent_calls_unique(self):
-        seq = Sequencer()
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            values = list(pool.map(lambda _: seq.next(), range(1000)))
-        assert len(set(values)) == 1000
-        assert max(values) - min(values) == 999
 
 
 class TestTaxonomy:
@@ -129,6 +111,15 @@ class TestTypes:
                 preferred_receivers=(4, 4),
             )
 
+    def test_requirement_rejects_duplicate_preferences(self):
+        # raw mode would otherwise rank donor 5 by its last entry, eligible mode by its first
+        with pytest.raises(ValueError, match="duplicate entries in preferred donors"):
+            RequirementRequest(
+                id=RequestId(2, 1), arrival=2, location=Location(0, 0),
+                food=FoodType.MIXED, amount=900, window=TimeWindow(0, 10),
+                preferred_donors=(5, 7, 5),
+            )
+
     def test_requirement_remaining_defaults_to_amount(self):
         r = RequirementRequest(
             id=RequestId(2, 1), arrival=2, location=Location(0, 0),
@@ -164,3 +155,7 @@ class TestTypes:
         assert (defaults.t_o, defaults.t_d, defaults.t_r, defaults.t_w) == (15, 120, 180, 15)
         assert (defaults.t_p_nm, defaults.t_p_m, defaults.t_np) == (5.0, 20.0, 100.0)
         assert (defaults.t_l, defaults.t_a, defaults.t_m) == (5.0, 20.0, 1000)
+        # NaN passes a `<= 0` test, and an infinite t_np keeps the reach order
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold t_np must be positive and finite"):
+                Thresholds(t_np=value)

@@ -1,5 +1,6 @@
 """Intake: meal splitting, drain semantics, requeue."""
 
+import sys
 import threading
 
 import pytest
@@ -143,6 +144,31 @@ class TestDrain:
             thread.join()
         seen.extend(r.id.agent_id for r in pool.drain())
         assert len(seen) == len(set(seen))  # nothing drained twice, nothing lost mid-drain
+
+    def test_concurrent_submits_number_arrivals_once_each(self):
+        pool = ActivePool()
+
+        def submitter(agent):
+            for seq in range(1, 201):
+                submit_request(donation(agent=agent, amount=900, seq=seq), pool, TH)
+
+        threads = [threading.Thread(target=submitter, args=(agent,)) for agent in range(1, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        requests = list(pool.registered())
+        assert sorted(r.arrival for r in requests) == list(range(1, 1601))
+        # each submitter's requests are numbered in its own submission order
+        for agent in range(1, 9):
+            arrivals = [r.arrival for r in requests if r.id.agent_id == agent]
+            assert arrivals == sorted(arrivals) and len(arrivals) == 200
 
 
 class TestRequeue:

@@ -1,8 +1,10 @@
 """Scenario generation: determinism, bounds, coherence, file round-trip."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from test_cli import MALFORMED
 
 from foodmatch import scenario as scenario_module
@@ -242,3 +244,34 @@ class TestStreamingReader:
             for v in (t.submit_at, t.request.window.start, t.request.window.end)
         ]
         assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
+_INSTANCE_RECORDS = json.loads(scenario_to_json(generate_scenario(ScenarioConfig(n_requests=4, seed=5))))["requests"]
+_FUZZ_BASES = (
+    scenario_to_json(generate_scenario(ScenarioConfig(n_requests=6, seed=2))),
+    # an instance file: top-level numbers may end a chunk
+    '{"at": 6400, "requests": %s, "note": [1.5, null], "n": -12}' % json.dumps(_INSTANCE_RECORDS, indent=1),
+)
+# edits drawn from JSON's own characters mostly break syntax, and sometimes
+# change a value or a key
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 4000), st.integers(0, 3), st.text('{}[],:"-.0123456789eE tfalsnru\\\n', max_size=3)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_FUZZ_BASES), edits=_EDITS, chunk=st.integers(1, 64))
+def test_mutated_file_reads_as_whole_text_parse(base, edits, chunk, tmp_path):
+    """Any file, valid or not, streams to the whole-text parse's scenario or
+    one-line error, whatever the chunk size."""
+    text = base
+    for pos, cut, insert in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + insert + text[pos + cut:]
+    path = tmp_path / "mutated.json"
+    path.write_text(text)
+    with mock.patch.object(scenario_module, "_CHUNK_CHARS", chunk):
+        assert _outcome(lambda: read_scenario(path)) == _outcome(lambda: _whole_text(path))
