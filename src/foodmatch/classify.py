@@ -35,6 +35,14 @@ class ClassifiedLists:
                 yield request.id
 
 
+# one iteration's class rounds in market order, perishable first: each names
+# its food class and its donor and receiver lists; volunteers are shared
+CLASS_ROUNDS = (
+    (Perishability.PERISHABLE, "pfd", "pfr"),
+    (Perishability.NON_PERISHABLE, "npfd", "npfr"),
+)
+
+
 def trifurcate(snapshot: Sequence[Request], carry: ClassifiedLists) -> ClassifiedLists:
     """Append each snapshot request to exactly one list by role and food class."""
     out = ClassifiedLists(

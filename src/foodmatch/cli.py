@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -140,7 +141,6 @@ def build_parser() -> _Parser:
     oracle = sub.add_parser("oracle", help="run a brute-force property check")
     oracle.add_argument("which", choices=("pareto", "strategyproof"))
     oracle.add_argument("--instance", required=True)
-    oracle.add_argument("--at", type=int, default=None, help="iteration minute override")
 
     gamma = sub.add_parser("check-gamma", help="verify the off-routing bound on a full run")
     gamma.add_argument("--scenario", required=True)
@@ -233,7 +233,7 @@ def _cmd_run(args) -> int:
                 "fulfillment_pct": round(report.fulfillment_pct, 6),
                 "match_counts": report.match_counts,
                 "lifecycle_consistent": report.lifecycle_consistent,
-                "terminal_state_totals": _state_totals(report),
+                "terminal_state_totals": Counter(report.terminal_states.values()),
             },
             indent=1,
             sort_keys=True,
@@ -241,13 +241,6 @@ def _cmd_run(args) -> int:
     )
     print(f"wrote {out}/report.csv, deliveries.csv, report.json")
     return EXIT_OK
-
-
-def _state_totals(report: SimReport) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for state in report.terminal_states.values():
-        totals[state] = totals.get(state, 0) + 1
-    return totals
 
 
 def _cmd_experiment(args) -> int:
@@ -327,11 +320,11 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def load_instance(path: str, at: Optional[int] = None) -> Instance:
+def load_instance(path: str) -> Instance:
     """Read a one-shot oracle instance from a scenario-format JSON file.
 
-    The optional top-level "at" key (or the --at flag) fixes the iteration
-    minute; without it, the latest gate-opening minute is used.
+    The optional top-level "at" key fixes the iteration minute; without it,
+    the latest gate-opening minute is used.
     """
     scenario, values = read_scenario(path)
     thresholds = scenario.config.thresholds
@@ -349,7 +342,7 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
             receivers.append(request)
         else:
             vols.append(request)
-    now = at if at is not None else values.get("at")
+    now = values.get("at")
     if now is None:
         # volunteers are left out: their lead is 0, so they would move the minute
         if not (donors or receivers):
@@ -360,7 +353,7 @@ def load_instance(path: str, at: Optional[int] = None) -> Instance:
 
 
 def _cmd_oracle(args) -> int:
-    instance = load_instance(args.instance, args.at)
+    instance = load_instance(args.instance)
     if args.which == "pareto":
         matches, _ = run_instance(instance)
         verdict = brute_force_pareto_oracle(instance, matches)
@@ -377,7 +370,7 @@ def _cmd_oracle(args) -> int:
             f"  agent {case.agent_id} ({case.role}) gained {case.gain} "
             f"via {case.misreport}: rank {case.truthful_rank} -> {case.misreport_rank}"
         )
-    return EXIT_OK if report.ok() else EXIT_VIOLATION
+    return EXIT_VIOLATION if report.hard_violations else EXIT_OK
 
 
 def _cmd_check_gamma(args) -> int:

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Optional, Sequence
 
-from .classify import ClassifiedLists, trifurcate
+from .classify import CLASS_ROUNDS, ClassifiedLists, trifurcate
 from .geometry import (
     default_vicinity,
     distance,
@@ -467,17 +467,6 @@ class MatchingEngine:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def active_carry_ids(self) -> set[RequestId]:
-        ids = set(self.carry.all_ids())
-        ids.update(self.pool.queued_ids())
-        return ids
-
-    def _retire_lapsed(self, now: int) -> None:
-        """Drop carried requests whose gate has closed for good."""
-        for name in ("pfd", "npfd", "pfr", "npfr", "v"):
-            kept = [r for r in getattr(self.carry, name) if now + lead_minutes(r, self.thresholds) <= r.window.end]
-            setattr(self.carry, name, kept)
-
     def _display(self, result: CaDtbResult, food: Perishability, now: int) -> list[DisplayGroup]:
         displayed = []
         for bundle in club_matches(result.completed()):
@@ -506,28 +495,22 @@ class MatchingEngine:
         expires stale displayed groups and requeues their requests.
         """
         snapshot = self.pool.drain()
-        self.carry = trifurcate(snapshot, self.carry)
-        self._retire_lapsed(now)
+        carry = self.carry = trifurcate(snapshot, self.carry)
+        # drop carried requests whose gate has closed for good
+        for name in ("v", "pfd", "pfr", "npfd", "npfr"):
+            kept = [r for r in getattr(carry, name) if now + lead_minutes(r, self.thresholds) <= r.window.end]
+            setattr(carry, name, kept)
 
-        result_p = ca_dtb(
-            self.carry.pfd, self.carry.pfr, self.carry.v,
-            Perishability.PERISHABLE, now, self.thresholds,
-            policy=self.policy, trace=self.trace,
-        )
-        self.carry.pfd, self.carry.pfr, self.carry.v = (
-            result_p.donors, result_p.receivers, result_p.vols,
-        )
-        displayed = self._display(result_p, Perishability.PERISHABLE, now)
-
-        result_np = ca_dtb(
-            self.carry.npfd, self.carry.npfr, self.carry.v,
-            Perishability.NON_PERISHABLE, now, self.thresholds,
-            policy=self.policy, trace=self.trace,
-        )
-        self.carry.npfd, self.carry.npfr, self.carry.v = (
-            result_np.donors, result_np.receivers, result_np.vols,
-        )
-        displayed.extend(self._display(result_np, Perishability.NON_PERISHABLE, now))
+        displayed = []
+        for food, donors, receivers in CLASS_ROUNDS:
+            result = ca_dtb(
+                getattr(carry, donors), getattr(carry, receivers), carry.v,
+                food, now, self.thresholds, policy=self.policy, trace=self.trace,
+            )
+            setattr(carry, donors, result.donors)
+            setattr(carry, receivers, result.receivers)
+            carry.v = result.vols
+            displayed.extend(self._display(result, food, now))
 
         expire_stale_matches(self.open_groups, now, self.thresholds)
         self._requeue([g for g in self.open_groups if g.status is MatchStatus.EXPIRED])

@@ -197,11 +197,6 @@ class RequirementRequest(_RequestShell):
         if self.remaining_amount > self.amount:
             raise ValueError("remaining amount exceeds requirement")
 
-    @property
-    def event_time(self) -> int:
-        """Receiver event time is the requirement window end."""
-        return self.window.end
-
 
 @dataclass(slots=True)
 class VolunteerRequest(_RequestShell):

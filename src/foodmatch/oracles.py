@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
-from .classify import ClassifiedLists, trifurcate
+from .classify import CLASS_ROUNDS, ClassifiedLists, trifurcate
 from .engine import EligibilityTrace, MatchPolicy, ca_dtb, gated
 from .geometry import default_vicinity, distance, within_dropoff_band
 from .model import (
@@ -36,7 +36,6 @@ from .model import (
     FoodType,
     Location,
     Match,
-    Perishability,
     RequestId,
     RequirementRequest,
     Thresholds,
@@ -51,9 +50,9 @@ MAX_ORACLE_VOLUNTEERS = 3
 _FOOD_TYPES = tuple(FoodType)
 
 
-def gamma_violations(deliveries, thresholds: Thresholds, tolerance: float = 1e-9):
+def gamma_violations(deliveries, thresholds: Thresholds):
     """Deliveries whose off-routing exceeds 4 * t_l percent."""
-    bound = 4.0 * thresholds.t_l + tolerance
+    bound = 4.0 * thresholds.t_l + 1e-9
     return [record for record in deliveries if record.overhead_pct > bound]
 
 
@@ -84,15 +83,15 @@ def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:
     snapshot = sorted(work.donors + work.receivers + work.vols, key=lambda r: r.arrival)
     lists = trifurcate(snapshot, ClassifiedLists())
 
-    result_p = ca_dtb(
-        lists.pfd, lists.pfr, lists.v, Perishability.PERISHABLE,
-        work.now, work.thresholds, policy=work.policy, trace=trace,
-    )
-    result_np = ca_dtb(
-        lists.npfd, lists.npfr, result_p.vols, Perishability.NON_PERISHABLE,
-        work.now, work.thresholds, policy=work.policy, trace=trace,
-    )
-    return list(result_p.matches) + list(result_np.matches), trace
+    matches: list[Match] = []
+    for food, donors, receivers in CLASS_ROUNDS:
+        result = ca_dtb(
+            getattr(lists, donors), getattr(lists, receivers), lists.v, food,
+            work.now, work.thresholds, policy=work.policy, trace=trace,
+        )
+        lists.v = result.vols
+        matches.extend(result.matches)
+    return matches, trace
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +343,6 @@ class MisreportReport:
     @property
     def hard_violations(self) -> list[MisreportCase]:
         return [c for c in self.improvements if not c.exception]
-
-    def ok(self) -> bool:
-        return not self.hard_violations
 
     @property
     def mean_gain(self) -> float:

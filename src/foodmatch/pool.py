@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from dataclasses import replace
 from typing import Container, Iterable
 
 from .model import (
@@ -68,18 +69,11 @@ class ActivePool:
                 self._registry[piece.id] = piece
         return [piece.id for piece in pieces]
 
-    def readd(self, request: Request) -> bool:
-        """Re-insert a previously registered request, keeping its arrival.
-
-        Returns False when the request is already queued (a request id is
-        never present twice).
-        """
+    def readd(self, request: Request) -> None:
+        """Re-queue a previously registered request, keeping its arrival; a
+        request already queued stays queued once."""
         with self._lock:
-            if request.id in self._queued:
-                return False
-            self._queued[request.id] = request
-            self._registry[request.id] = request
-            return True
+            self._queued.setdefault(request.id, request)
 
     def drain(self) -> list[Request]:
         """Hand all queued requests to the current iteration, arrival-ordered.
@@ -105,23 +99,10 @@ def split_into_meals(raw: DonationRequest, t_m: int) -> list[DonationRequest]:
         return [raw]
     k = raw.amount // t_m
     amounts = [t_m] * (k - 1) + [raw.amount - t_m * (k - 1)]
-    pieces = []
-    for seq, amount in enumerate(amounts, start=1):
-        pieces.append(
-            DonationRequest(
-                id=RequestId(raw.id.agent_id, raw.id.request_seq, seq),
-                arrival=raw.arrival,
-                location=raw.location,
-                food=raw.food,
-                amount=amount,
-                window=raw.window,
-                packaging=raw.packaging,
-                prep_or_expiry=raw.prep_or_expiry,
-                image_ref=raw.image_ref,
-                preferred_receivers=raw.preferred_receivers,
-            )
-        )
-    return pieces
+    return [
+        replace(raw, id=RequestId(raw.id.agent_id, raw.id.request_seq, seq), amount=amount)
+        for seq, amount in enumerate(amounts, start=1)
+    ]
 
 
 def submit_request(raw: Request, pool: ActivePool, thresholds: Thresholds) -> list[RequestId]:
@@ -143,7 +124,7 @@ def requeue_rejected(
     match: Match,
     pool: ActivePool,
     already_active: Container[RequestId] = frozenset(),
-) -> list[RequestId]:
+) -> None:
     """Return every request involved in a failed match to the pool.
 
     The caller vouches that the match's group was rejected or expired.
@@ -156,22 +137,17 @@ def requeue_rejected(
         raise ValueError(f"illegal requeue: match of {match.donor} already requeued")
     match.requeued = True
 
-    requeued: list[RequestId] = []
-
-    donor = pool.lookup(match.donor)
-    if match.donor not in already_active and pool.readd(donor):
-        requeued.append(match.donor)
+    if match.donor not in already_active:
+        pool.readd(pool.lookup(match.donor))
 
     if match.volunteer is not None:
         volunteer = pool.lookup(match.volunteer)
         volunteer.remaining_payload += match.delivered_amount
-        if match.volunteer not in already_active and pool.readd(volunteer):
-            requeued.append(match.volunteer)
+        if match.volunteer not in already_active:
+            pool.readd(volunteer)
 
     if match.receiver is not None:
         receiver = pool.lookup(match.receiver)
         receiver.remaining_amount += match.delivered_amount
-        if match.receiver not in already_active and pool.readd(receiver):
-            requeued.append(match.receiver)
-
-    return requeued
+        if match.receiver not in already_active:
+            pool.readd(receiver)

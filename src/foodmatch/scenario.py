@@ -85,29 +85,43 @@ class ScenarioConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def counts(self) -> tuple[int, int, int]:
-        if self.n_donors is not None or self.n_receivers is not None or self.n_volunteers is not None:
-            if None in (self.n_donors, self.n_receivers, self.n_volunteers):
-                raise ValueError("explicit counts must set all three roles")
-            return self.n_donors, self.n_receivers, self.n_volunteers
+        explicit = (self.n_donors, self.n_receivers, self.n_volunteers)
+        if explicit != (None, None, None):
+            if None in explicit:
+                raise ValueError("infeasible scenario: explicit counts must set all three roles")
+            return explicit
         total = self.donor_fraction + self.receiver_fraction + self.volunteer_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("mix fractions must sum to 1")
+        # written so that a NaN sum (from a NaN or infinite fraction) fails too
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError("infeasible scenario: mix fractions must sum to 1")
         n_d = int(self.n_requests * self.donor_fraction)
         n_r = int(self.n_requests * self.receiver_fraction)
         return n_d, n_r, self.n_requests - n_d - n_r
 
     def validate(self) -> None:
-        if self.working_end <= self.working_start:
-            raise ValueError("infeasible scenario: empty working hours")
+        # minutes start at 0, as the loader requires
+        if not 0 <= self.working_start < self.working_end:
+            raise ValueError("infeasible scenario: working hours")
         if self.city_width <= 0 or self.city_height <= 0:
             raise ValueError("infeasible scenario: empty city")
-        n_d, n_r, n_v = self.counts()
-        if min(n_d, n_r, n_v) < 0:
+        if min(self.counts()) < 0:
             raise ValueError("infeasible scenario: negative role count")
-        if self.donor_amount_min <= 0 or self.donor_amount_min > self.donor_amount_max:
-            raise ValueError("infeasible scenario: donor amount range")
-        if self.min_payload <= 0 or self.min_payload > self.max_payload:
-            raise ValueError("infeasible scenario: payload range")
+        if not self.food_types or min(self.preference_lengths, default=-1) < 0:
+            raise ValueError("infeasible scenario: no food types or preference lengths")
+        # [low, high] settings and the least low each allows: grams must be
+        # positive, minutes and kilometers non-negative
+        for name, pair, least in (
+            ("donor amount", (self.donor_amount_min, self.donor_amount_max), 1),
+            ("receiver amount", (self.receiver_amount_min, self.receiver_amount_max), 1),
+            ("payload", (self.min_payload, self.max_payload), 1),
+            ("donor_lead", self.donor_lead, 0),
+            ("donor_span", self.donor_span, 0),
+            ("receiver_lead", self.receiver_lead, 0),
+            ("receiver_span", self.receiver_span, 0),
+            ("hub_separation", self.hub_separation, 0),
+        ):
+            if len(pair) != 2 or not least <= pair[0] <= pair[1]:
+                raise ValueError(f"infeasible scenario: {name} range {list(pair)}")
 
 
 @dataclass(slots=True)
@@ -122,9 +136,7 @@ class Scenario:
     requests: list[TimedRequest]
 
     def horizon(self) -> int:
-        if not self.requests:
-            return self.config.working_end
-        return max(t.request.window.end for t in self.requests)
+        return max((t.request.window.end for t in self.requests), default=self.config.working_end)
 
 
 def _uniform_location(rng: random.Random, config: ScenarioConfig) -> Location:
@@ -148,10 +160,8 @@ def _window_after(rng: random.Random, config: ScenarioConfig, submit: int,
 
 
 def _preference(rng: random.Random, config: ScenarioConfig, pool: range) -> tuple[int, ...]:
-    length = min(rng.choice(config.preference_lengths), len(pool))
-    if length == 0:
-        return ()
-    return tuple(rng.sample(pool, length))
+    # sampling no entries draws nothing
+    return tuple(rng.sample(pool, min(rng.choice(config.preference_lengths), len(pool))))
 
 
 def _hub_centers(config: ScenarioConfig) -> tuple[list[Location], list[Location]]:
@@ -205,14 +215,12 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     rng_r = random.Random(f"{config.seed}:receivers")
     receivers: list[TimedRequest] = []
-    receiver_locations: list[Location] = []
     for agent in receiver_ids:
         submit = rng_r.randint(wh[0], latest_submit)
         if receiver_centers:
             loc = _near(rng_r, config, rng_r.choice(receiver_centers), sigma=config.hub_sigma)
         else:
             loc = _uniform_location(rng_r, config)
-        receiver_locations.append(loc)
         receivers.append(
             TimedRequest(
                 submit_at=submit,
@@ -230,14 +238,12 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     rng_d = random.Random(f"{config.seed}:donors")
     donors: list[TimedRequest] = []
-    donor_locations: list[Location] = []
     for agent in donor_ids:
         submit = rng_d.randint(wh[0], latest_submit)
         if donor_centers:
             loc = _near(rng_d, config, rng_d.choice(donor_centers), sigma=config.hub_sigma)
         else:
             loc = _uniform_location(rng_d, config)
-        donor_locations.append(loc)
         window = _window_after(rng_d, config, submit, config.donor_lead, config.donor_span)
         donors.append(
             TimedRequest(
@@ -279,11 +285,10 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
             anchor = anchor_cycle.pop()
             start = _near(rng_v, config, anchor.request.location, sigma=0.5)
             avail_start = max(wh[0], anchor.request.window.start - rng_v.randint(0, 90))
-            window = TimeWindow(avail_start, min(avail_start + rng_v.randint(120, 420), wh[1]))
         else:
             start = _uniform_location(rng_v, config)
             avail_start = rng_v.randint(wh[0], latest_submit)
-            window = TimeWindow(avail_start, min(avail_start + rng_v.randint(120, 420), wh[1]))
+        window = TimeWindow(avail_start, min(avail_start + rng_v.randint(120, 420), wh[1]))
         end = None
         if anchor is not None and receivers:
             # aim for a requirement the anchor donation could actually serve:
@@ -300,13 +305,13 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
                     end = _near(rng_v, config, candidate.request.location, sigma=0.5)
                     break
         if end is None:
-            if receiver_locations:
-                end = _near(rng_v, config, rng_v.choice(receiver_locations), sigma=0.5)
+            if receivers:
+                end = _near(rng_v, config, rng_v.choice(receivers).request.location, sigma=0.5)
             else:
                 end = _uniform_location(rng_v, config)
         motored = rng_v.random() < config.motored_rate
         restricted: tuple[int, ...] = ()
-        if receiver_locations and rng_v.random() < config.restricted_volunteer_rate:
+        if receivers and rng_v.random() < config.restricted_volunteer_rate:
             restricted = tuple(rng_v.sample(receiver_ids, min(2, n_r)))
         volunteers.append(
             TimedRequest(
@@ -380,24 +385,17 @@ def _request_to_record(timed: TimedRequest) -> dict:
     return base
 
 
-def _check_numbers(values, name: str, integral: bool) -> None:
-    """ValueError naming the field unless every value is an int or (unless
-    integral) a number that is finite as a float."""
-    for value in values:
-        kind = type(value)
-        if kind is int and integral:
-            continue
-        if kind not in (int, float) or integral:
-            raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
-        # false for NaN, the infinities and ints too large for a float
-        if not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def finite_number(value, name: str, integral: bool = False):
     """The value itself when it is an int, or (unless integral) a number
     that is finite as a float; else ValueError naming the field."""
-    _check_numbers((value,), name, integral)
+    kind = type(value)
+    if kind is int and integral:
+        return value
+    if kind not in (int, float) or integral:
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    # false for NaN, the infinities and ints too large for a float
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -405,7 +403,8 @@ def _numbers(value, name: str, length: Optional[int] = None, integral: bool = Fa
     if not isinstance(value, list) or (length is not None and len(value) != length):
         size = f"{length} " if length is not None else ""
         raise ValueError(f"{name} must be a list of {size}numbers, got {value!r}")
-    _check_numbers(value, name, integral)
+    for number in value:
+        finite_number(number, name, integral)
     return tuple(value)
 
 

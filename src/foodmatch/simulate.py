@@ -157,7 +157,7 @@ def _build_report(engine: MatchingEngine, pool: ActivePool, eligibility: Optiona
     # independently of the displayed matches; a split donation counts as one
     # donor request, by its meal 1. A request both finished and still live in
     # the engine breaks the lifecycle
-    active = engine.active_carry_ids()
+    active = set(engine.carry.all_ids()) | pool.queued_ids()
     terminal: dict[str, str] = {}
     consistent = True
     n_d = n_r = n_v = requested = meal_count = credited = carried = 0

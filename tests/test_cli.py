@@ -33,8 +33,11 @@ class TestGenerate:
         assert run_cli("generate", "--seed", "1", "--requests", "50", "--out", str(out), "--t-m", "500") == 0
         assert json.loads(out.read_text())["config"]["thresholds"]["t_m"] == 500
 
-    def test_bad_mix_exits_one(self, tmp_path):
-        assert run_cli("generate", "--mix", "0.9,0.9,0.9", "--out", str(tmp_path / "x.json")) == 1
+    @pytest.mark.parametrize("mix", ["0.9,0.9,0.9", "inf,-inf,1", "nan,nan,nan", "inf,0,0"])
+    def test_bad_mix_exits_one(self, mix, tmp_path, capsys):
+        assert run_cli("generate", "--mix", mix, "--requests", "20", "--out", str(tmp_path / "x.json")) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: infeasible scenario: mix fractions must sum to 1"]
+        assert not (tmp_path / "x.json").exists()
 
     def test_unknown_flag_exits_one(self, tmp_path):
         assert run_cli("generate", "--bogus", "1", "--out", str(tmp_path / "x.json")) == 1
@@ -98,6 +101,29 @@ class TestExperiments:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: multiples must be non-empty, finite and non-negative"]
         assert not (out / "fig8a.csv").exists()
+
+    # config values that used to reach the generator's random draws and
+    # crash there (IndexError, TypeError) or fail naming no field
+    @pytest.mark.parametrize("which", ["fig8a", "fig8b"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("food_types", [], "no food types or preference lengths"),
+        ("preference_lengths", [], "no food types or preference lengths"),
+        ("preference_lengths", [1, -1], "no food types or preference lengths"),
+        ("donor_lead", [5], "donor_lead range [5]"),
+        ("donor_lead", [50, 5], "donor_lead range [50, 5]"),
+        ("receiver_span", [-10, 5], "receiver_span range [-10, 5]"),
+        ("receiver_amount_min", 5000, "receiver amount range [5000, 4000]"),
+        ("working_start", -300, "working hours"),
+    ], ids=["no-food", "no-lengths", "negative-length", "short-lead", "reversed-lead", "negative-span",
+            "reversed-amounts", "negative-start"])
+    def test_unusable_generator_config_exits_one(self, which, key, value, message, small_scenario, tmp_path, capsys):
+        payload = json.loads(small_scenario.read_text())
+        payload["config"][key] = value
+        small_scenario.write_text(json.dumps(payload))
+        out = tmp_path / which
+        assert run_cli("experiment", which, "--scenario", str(small_scenario), "--seeds", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: infeasible scenario: {message}"]
+        assert not (out / f"{which}.csv").exists()
 
     def test_fig8b_outputs(self, small_scenario, tmp_path):
         out = tmp_path / "fig8b"

@@ -72,6 +72,13 @@ def vol(agent, route=((9.5, 10), (30, 10)), window=(600, 800), payload=5000,
     )
 
 
+class TestMatchPolicy:
+    @pytest.mark.parametrize("mode", [{"receiver_sort": "middle"}, {"preferences": "none"}])
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(ValueError, match="must be one of"):
+            MatchPolicy(**mode)
+
+
 class TestGating:
     def test_donor_gate(self):
         d = donor(1, window=(600, 720))
@@ -534,6 +541,15 @@ class TestGroupLifecycle:
         assert group.matches[0].requeued
         with pytest.raises(ValueError, match="illegal requeue"):
             requeue_rejected(group.matches[0], eng.pool)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_second_decision_on_a_settled_group_ignored(self, first):
+        eng, group = displayed_group()
+        eng.apply_decisions([(group, first)])
+        queued = eng.pool.queued_ids()
+        eng.apply_decisions([(group, not first), (group, first)])
+        assert group.status is (MatchStatus.ACCEPTED if first else MatchStatus.REJECTED)
+        assert eng.pool.queued_ids() == queued
 
     def test_requeue_of_a_displayed_group_raises(self):
         eng, group = displayed_group()

@@ -139,12 +139,7 @@ class TestTypes:
             id=RequestId(1, 1), arrival=1, location=Location(0, 0),
             food=FoodType.MIXED, amount=100, window=TimeWindow(600, 720),
         )
-        r = RequirementRequest(
-            id=RequestId(2, 1), arrival=2, location=Location(0, 0),
-            food=FoodType.MIXED, amount=100, window=TimeWindow(600, 720),
-        )
         assert d.event_time == 600
-        assert r.event_time == 720
 
     def test_thresholds_validate(self):
         with pytest.raises(ValueError):

@@ -187,8 +187,8 @@ class TestRequeue:
 
     def test_full_triple_requeued(self):
         pool, match, v, r = self._accepted_setup()
-        requeued = requeue_rejected(match, pool)
-        assert len(requeued) == 3
+        requeue_rejected(match, pool)
+        assert pool.queued_ids() == {match.donor, match.volunteer, match.receiver}
         assert v.remaining_payload == 10_000
         assert r.remaining_amount == 1000
 
@@ -199,7 +199,8 @@ class TestRequeue:
         pool.drain()
         pool.lookup(r_id).remaining_amount = 0
         match = Match(donor=d_id, volunteer=None, receiver=r_id, vicinity=5.0, delivered_amount=1000)
-        assert len(requeue_rejected(match, pool)) == 2
+        requeue_rejected(match, pool)
+        assert pool.queued_ids() == {d_id, r_id}
 
     def test_double_requeue_errors(self):
         pool, match, _, _ = self._accepted_setup()
@@ -210,9 +211,16 @@ class TestRequeue:
     def test_already_active_requests_not_duplicated(self):
         pool, match, _, r = self._accepted_setup()
         pool.readd(r)
-        requeued = requeue_rejected(match, pool)
-        assert match.receiver not in requeued
+        requeue_rejected(match, pool)
+        assert [q.id for q in pool.drain()] == [match.donor, match.volunteer, match.receiver]
         assert r.remaining_amount == 1000  # amount restored regardless
+
+    def test_carried_requests_only_restored(self):
+        pool, match, v, r = self._accepted_setup()
+        requeue_rejected(match, pool, already_active={match.volunteer, match.receiver})
+        assert pool.queued_ids() == {match.donor}
+        assert v.remaining_payload == 10_000
+        assert r.remaining_amount == 1000
 
     def test_requeued_requests_keep_arrival(self):
         pool, match, v, _ = self._accepted_setup()
