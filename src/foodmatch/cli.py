@@ -243,52 +243,46 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _write_figure(out: Path, name: str, header: Sequence[str], rows: Sequence[Sequence], series: list,
+                  title: str, x_label: str, y_label: str = "allocation (% of food requests)") -> None:
+    """Write one figure's rows as <name>.csv and its line chart as <name>.svg."""
+    write_csv(out / f"{name}.csv", header, rows)
+    write_svg(out / f"{name}.svg", render_line_chart(series, title, x_label, y_label))
+
+
 def _cmd_experiment(args) -> int:
     scenario = _load_scenario_with_overrides(args)
     config = scenario.config
     seed = _effective_seed(args)
+    # before any scenario is built, and when --seeds 0 runs nothing
+    check_tick(args.tick)
+    if args.seeds < 0:
+        raise ValueError("seeds must not be negative")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    check_tick(args.tick)  # before any scenario is built, and when --seeds 0 runs nothing
 
     if args.which == "fig8a":
         multiples = [float(m) for m in args.multiples.split(",")]
         points = experiment_allocation_vs_volunteers(config, multiples, tick_minutes=args.tick)
-        write_csv(
-            out / "fig8a.csv",
-            ("multiple", "volunteers", "allocation_pct", "receiver_fulfillment_pct"),
-            [
-                (p.multiple, p.n_volunteers, round(p.allocation_pct, 4), round(p.receiver_fulfillment_pct, 4))
-                for p in points
-            ],
-        )
-        svg = render_line_chart(
+        _write_figure(
+            out, "fig8a", ("multiple", "volunteers", "allocation_pct", "receiver_fulfillment_pct"),
+            [(p.multiple, p.n_volunteers, round(p.allocation_pct, 4), round(p.receiver_fulfillment_pct, 4))
+             for p in points],
             [("allocation", [(p.multiple, p.allocation_pct) for p in points])],
-            "Agent Allocation vs Volunteer Availability",
-            "volunteers (multiples of donors)",
-            "allocation (% of food requests)",
+            "Agent Allocation vs Volunteer Availability", "volunteers (multiples of donors)",
         )
-        write_svg(out / "fig8a.svg", svg)
         print(f"wrote {out}/fig8a.csv, fig8a.svg ({len(points)} points)")
         return EXIT_OK
 
     if args.which == "fig8d":
         report = experiment_manipulation(config, args.fraction, tick_minutes=args.tick, scenario=scenario)
-        write_csv(
-            out / "fig8d.csv",
-            ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
-            [
-                (o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, int(o.exception))
-                for o in report.outcomes
-            ],
-        )
-        svg = render_line_chart(
+        _write_figure(
+            out, "fig8d", ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
+            [(o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, int(o.exception))
+             for o in report.outcomes],
             [("rank gain", [(i, o.gain) for i, o in enumerate(report.outcomes)])],
-            "Results of Manipulation of Agent Preferences",
-            "manipulator",
-            "true-preference rank gain",
+            "Results of Manipulation of Agent Preferences", "manipulator", "true-preference rank gain",
         )
-        write_svg(out / "fig8d.svg", svg)
         print(
             f"wrote {out}/fig8d.csv, fig8d.svg: {report.cases} manipulators, "
             f"mean gain {report.mean_gain:.4f}, exception rate {report.exception_rate_pct:.2f}%, "
@@ -298,23 +292,14 @@ def _cmd_experiment(args) -> int:
 
     name = args.which
     (baseline, variant), labels, title = PAIRED_EXPERIMENTS[name]
-    seeds = list(range(seed, seed + args.seeds))
-    rows = experiment_paired_policies(config, seeds, baseline, variant, tick_minutes=args.tick)
-    write_csv(
-        out / f"{name}.csv",
-        ("seed",) + labels,
+    rows = experiment_paired_policies(config, range(seed, seed + args.seeds), baseline, variant,
+                                      tick_minutes=args.tick)
+    _write_figure(
+        out, name, ("seed",) + labels,
         [(r.seed, round(r.baseline_pct, 4), round(r.variant_pct, 4)) for r in rows],
+        [(labels[0], [(r.seed, r.baseline_pct) for r in rows]), (labels[1], [(r.seed, r.variant_pct) for r in rows])],
+        title, "seed",
     )
-    svg = render_line_chart(
-        [
-            (labels[0], [(r.seed, r.baseline_pct) for r in rows]),
-            (labels[1], [(r.seed, r.variant_pct) for r in rows]),
-        ],
-        title,
-        "seed",
-        "allocation (% of food requests)",
-    )
-    write_svg(out / f"{name}.svg", svg)
     wins = sum(1 for r in rows if r.variant_pct >= r.baseline_pct)
     print(f"wrote {out}/{name}.csv, {name}.svg: variant >= baseline on {wins}/{len(rows)} seeds")
     return EXIT_OK

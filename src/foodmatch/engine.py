@@ -36,7 +36,6 @@ from .geometry import (
     default_vicinity,
     distance,
     off_route_allowance,
-    off_route_overhead,
     within_dropoff_band,
     within_pickup_radius,
 )
@@ -546,17 +545,3 @@ class MatchingEngine:
                 raise ValueError(f"illegal requeue: group {group.id} is {group.status.value}")
             for match in group.matches:
                 requeue_rejected(match, self.pool, already_active=carried)
-
-    def delivery_records(self):
-        """Off-routing audit records for every accepted volunteer delivery."""
-        records = []
-        for group in self.groups:
-            if group.status is not MatchStatus.ACCEPTED or group.volunteer is None:
-                continue
-            volunteer = self.pool.lookup(group.volunteer)
-            donor = self.pool.lookup(group.matches[0].donor)
-            receiver = self.pool.lookup(group.receiver)
-            records.append(
-                off_route_overhead(volunteer.route_start, volunteer.route_end, donor.location, receiver.location)
-            )
-        return records

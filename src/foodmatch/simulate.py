@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import EligibilityTrace, MatchingEngine, MatchPolicy
-from .geometry import DeliveryRecord
-from .model import DonationRequest, MatchStatus, RequestId, RequirementRequest
+from .geometry import DeliveryRecord, off_route_overhead
+from .model import DonationRequest, MatchStatus, RequirementRequest
 from .pool import ActivePool, submit_request
 from .scenario import Scenario
 
@@ -131,93 +131,95 @@ def run_simulation(
         iterations += 1
         now += tick_minutes
 
-    return _build_report(engine, pool, eligibility)
+    return _build_report(engine)
 
 
-def _build_report(engine: MatchingEngine, pool: ActivePool, eligibility: Optional[EligibilityTrace]) -> SimReport:
-    # a group's status is the fate of each of its matches, and they all
-    # share its volunteer and receiver
+def _build_report(engine: MatchingEngine) -> SimReport:
+    pool = engine.pool
+    # one pass over the groups: a group's status is the fate of each of its
+    # matches, and they all share its volunteer and receiver; an accepted
+    # group's requests take their terminal state unless the registry settles it
     match_counts: dict[str, int] = {status.value: 0 for status in MatchStatus}
-    accepted_meals: set[RequestId] = set()
-    accepted_receivers: set[RequestId] = set()
-    accepted_volunteers: set[RequestId] = set()
+    terminal: dict[str, str] = {}
+    deliveries: list[DeliveryRecord] = []
+    accepted_groups: list[dict] = []
     served = 0
     for group in engine.groups:
         match_counts[group.status.value] += len(group.matches)
-        if group.status is MatchStatus.ACCEPTED:
-            accepted_meals.update(m.donor for m in group.matches)
-            accepted_receivers.add(group.receiver)
-            if group.volunteer is not None:
-                accepted_volunteers.add(group.volunteer)
-            served += group.total_amount
-    accepted_donor_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_meals}
-    accepted_receiver_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_receivers}
+        if group.status is not MatchStatus.ACCEPTED:
+            continue
+        served += group.total_amount
+        for match in group.matches:
+            terminal[str(match.donor)] = "accepted"
+        receiver = str(group.receiver)
+        terminal[receiver] = "partially_served"
+        if group.volunteer is not None:
+            terminal[str(group.volunteer)] = "assigned"
+            volunteer = pool.lookup(group.volunteer)
+            deliveries.append(off_route_overhead(
+                volunteer.route_start, volunteer.route_end,
+                pool.lookup(group.matches[0].donor).location, pool.lookup(group.receiver).location,
+            ))
+        accepted_groups.append({
+            "group_id": group.id,
+            "donor_agent": group.donor_agent,
+            "volunteer_agent": group.volunteer.agent_id if group.volunteer else "",
+            "receiver_agent": group.receiver.agent_id,
+            "receiver": receiver,
+            "grams": group.total_amount,
+            "created_at": group.created_at,
+            "food": group.food.value,
+        })
 
-    # role counts, terminal states and grams read off the live requests,
-    # independently of the displayed matches; a split donation counts as one
-    # donor request, by its meal 1. A request both finished and still live in
-    # the engine breaks the lifecycle
+    # one pass over the registry: role counts, the other terminal states and
+    # grams read off the live requests. A request both finished and still
+    # live in the engine breaks the lifecycle
     active = set(engine.carry.all_ids()) | pool.queued_ids()
-    terminal: dict[str, str] = {}
     consistent = True
-    n_d = n_r = n_v = requested = meal_count = credited = carried = 0
+    n_d = n_r = n_v = a_d = a_r = a_v = requested = meal_count = credited = carried = 0
     for request in pool.registered():
         rid = request.id
+        key = str(rid)
+        fate = terminal.get(key)
         if isinstance(request, DonationRequest):
+            # the pool registers a donation's meals together: a split
+            # donation counts once, by its meal 1, and is accepted once
             if rid.meal_seq <= 1:
                 n_d += 1
+                donation_accepted = False
             meal_count += 1
-            if rid in accepted_meals:
-                terminal[str(rid)] = "accepted"
+            state = fate or "unmatched"
+            if fate is not None:
                 consistent = consistent and rid not in active
-            else:
-                terminal[str(rid)] = "unmatched"
+                a_d += not donation_accepted
+                donation_accepted = True
         elif isinstance(request, RequirementRequest):
             n_r += 1
+            a_r += fate is not None
             requested += request.amount
             credited += request.amount - request.remaining_amount
             if request.remaining_amount <= 0:
-                terminal[str(rid)] = "served"
+                state = "served"
                 consistent = consistent and rid not in active
-            elif rid in accepted_receivers:
-                terminal[str(rid)] = "partially_served"
             else:
-                terminal[str(rid)] = "unserved"
+                state = fate or "unserved"
         else:
             n_v += 1
+            a_v += fate is not None
             carried += request.payload_capacity - request.remaining_payload
-            terminal[str(rid)] = "assigned" if rid in accepted_volunteers else "unused"
+            state = fate or "unused"
+        terminal[key] = state
 
     def pct(part: int, whole: int) -> float:
         return 100.0 * part / whole if whole else 0.0
 
     allocation = {
-        "donors": pct(len(accepted_donor_requests), n_d),
-        "receivers": pct(len(accepted_receiver_requests), n_r),
-        "volunteers": pct(len(accepted_volunteers), n_v),
-        "overall": pct(
-            len(accepted_donor_requests) + len(accepted_receiver_requests) + len(accepted_volunteers),
-            n_d + n_r + n_v,
-        ),
-        "food_requests": pct(
-            len(accepted_donor_requests) + len(accepted_receiver_requests), n_d + n_r
-        ),
+        "donors": pct(a_d, n_d),
+        "receivers": pct(a_r, n_r),
+        "volunteers": pct(a_v, n_v),
+        "overall": pct(a_d + a_r + a_v, n_d + n_r + n_v),
+        "food_requests": pct(a_d + a_r, n_d + n_r),
     }
-
-    accepted_groups = [
-        {
-            "group_id": g.id,
-            "donor_agent": g.donor_agent,
-            "volunteer_agent": g.volunteer.agent_id if g.volunteer else "",
-            "receiver_agent": g.receiver.agent_id,
-            "receiver": str(g.receiver),
-            "grams": g.total_amount,
-            "created_at": g.created_at,
-            "food": g.food.value,
-        }
-        for g in engine.groups
-        if g.status is MatchStatus.ACCEPTED
-    ]
     return SimReport(
         counts={"donors": n_d, "receivers": n_r, "volunteers": n_v, "meals": meal_count},
         allocation=allocation,
@@ -227,9 +229,9 @@ def _build_report(engine: MatchingEngine, pool: ActivePool, eligibility: Optiona
         carried_grams=carried,
         fulfillment_pct=pct(min(served, requested), requested),
         match_counts=match_counts,
-        deliveries=engine.delivery_records(),
+        deliveries=deliveries,
         terminal_states=terminal,
         lifecycle_consistent=consistent,
         accepted_groups=accepted_groups,
-        eligibility_universes=eligibility.seen if eligibility is not None else {},
+        eligibility_universes=engine.trace.seen if engine.trace is not None else {},
     )

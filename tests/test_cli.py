@@ -272,6 +272,18 @@ class TestSettingFlags:
         assert capsys.readouterr().err.splitlines() == ["error: tick_minutes must be at least 1"]
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("which", ["fig8b", "fig8c"])
+    def test_negative_seed_count_exits_one(self, which, small_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("experiment", which, "--scenario", str(small_scenario), "--seeds", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seeds must not be negative"]
+        assert not out.exists()
+
+    def test_zero_seed_count_runs_nothing(self, small_scenario, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("experiment", "fig8b", "--scenario", str(small_scenario), "--seeds", "0", "--out", str(out)) == 0
+        assert (out / "fig8b.csv").read_text().splitlines() == ["seed,start_sort_pct,end_sort_pct"]
+
 
 def _valid_record(**changes):
     record = {"type": "donation", "agent_id": 1, "submit_at": 0, "window": [700, 720],

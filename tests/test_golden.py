@@ -15,6 +15,10 @@ instances among seeds 0-24 that have one, all availability exceptions under
 raw preferences; "sized" holds the known hard gain), and the paired
 fig8b/fig8c allocation rows.
 
+The figure digests were recorded while the experiment command still wrote
+each figure's CSV and SVG with its own block of code. They pin the file
+bytes of fig8a, fig8b, fig8c and fig8d on a small desk-policy city.
+
 The scenario-file digests were recorded while the writer still built every
 request record and the whole JSON string before writing a byte. They pin the
 generated populations and the file bytes of uniform cities at the benchmark's
@@ -27,7 +31,7 @@ import json
 import pytest
 
 from foodmatch.engine import MatchPolicy
-from foodmatch.cli import PAIRED_EXPERIMENTS
+from foodmatch.cli import PAIRED_EXPERIMENTS, main
 from foodmatch.experiments import (
     desk_policy_config,
     desk_volunteer_sweep_config,
@@ -75,6 +79,33 @@ MISREPORT_DIGESTS = {
 PAIRED_DIGESTS = {
     "fig8b": "5a31d7744c22522f1cf3132d4808af691050c857f3d6e362daa2bb2eb1d79a1e",
     "fig8c": "efe815cdade8840ccb57cc37a61a8853967d0ca7de73fd0aba50d2180e42de44",
+}
+
+# figure -> the experiment flags it runs with on the desk-policy city below
+FIGURE_FLAGS = {
+    "fig8a": ("--multiples", "0.5,1,2"),
+    "fig8b": ("--seeds", "2"),
+    "fig8c": ("--seeds", "2"),
+    "fig8d": ("--fraction", "50"),
+}
+
+FIGURE_DIGESTS = {
+    "fig8a": {
+        "csv": "ba3bd0fbdb6b72cf1dded43f9fc46f53daae4e6b31cff3e53ec8a74ce56ac263",
+        "svg": "441458f2fa0aaa3e0c546a418c007009d9cf71dd8af155645812097bc9d1f893",
+    },
+    "fig8b": {
+        "csv": "19cdf73927f3fc12191584660e790b5c8baa82e438dac8f25fc779318d527853",
+        "svg": "c9a2fee367301d1df144b1f4358753c04100b339e1b87b4ddf3debda99bd1828",
+    },
+    "fig8c": {
+        "csv": "4ba62ccb83a9ece2da41315c6de6e9462ac474a85ab649092b5d4db7972d23f1",
+        "svg": "e05b98d961a048ae132afd0f4a0355e8aa2a62977311a656e4279b7aef36be37",
+    },
+    "fig8d": {
+        "csv": "f93720f86a9552b0bbd68f1d555dead9be2991c18d03bebfcecc12cea5201781",
+        "svg": "c1290590ee7a29992a920f936a7911751d0f78fe6dbab9ffc3da4300e4f97990",
+    },
 }
 
 SCENARIO_CONFIGS = {
@@ -180,6 +211,23 @@ def test_misreport_outputs(which):
 @pytest.mark.parametrize("which", sorted(PAIRED_DIGESTS))
 def test_paired_policy_outputs(which):
     assert _digest(paired_payload(which)) == PAIRED_DIGESTS[which]
+
+
+@pytest.fixture(scope="module")
+def figure_scenario(tmp_path_factory):
+    path = tmp_path_factory.mktemp("figures") / "scenario.json"
+    save_scenario(generate_scenario(desk_policy_config(seed=3, n_requests=200)), path)
+    return path
+
+
+@pytest.mark.parametrize("which", sorted(FIGURE_DIGESTS))
+def test_figure_file_bytes(which, figure_scenario, tmp_path, monkeypatch):
+    monkeypatch.delenv("FDRM_SEED", raising=False)
+    out = tmp_path / which
+    argv = ["experiment", which, "--scenario", str(figure_scenario), "--out", str(out), *FIGURE_FLAGS[which]]
+    assert main(argv) == 0
+    digests = {kind: hashlib.sha256((out / f"{which}.{kind}").read_bytes()).hexdigest() for kind in ("csv", "svg")}
+    assert digests == FIGURE_DIGESTS[which]
 
 
 @pytest.mark.parametrize("which", sorted(SCENARIO_FILE_DIGESTS))

@@ -1,12 +1,16 @@
 """End-to-end simulation: toy markets, acceptance paths, conservation."""
 
+from dataclasses import fields
+
 import pytest
 
 from foodmatch import simulate
+from foodmatch.geometry import off_route_overhead
 from foodmatch.model import (
     DonationRequest,
     FoodType,
     Location,
+    MatchStatus,
     RequestId,
     RequirementRequest,
     Thresholds,
@@ -14,7 +18,7 @@ from foodmatch.model import (
     VolunteerRequest,
 )
 from foodmatch.scenario import Scenario, ScenarioConfig, TimedRequest, generate_scenario
-from foodmatch.simulate import AcceptanceModel, run_simulation
+from foodmatch.simulate import AcceptanceModel, SimReport, run_simulation
 
 TH = Thresholds()
 
@@ -156,3 +160,127 @@ class TestSeededRuns:
         assert donors_of
         shared = {v: sorted(d) for v, d in donors_of.items() if len(d) > 1}
         assert not shared, f"volunteers accepted for several donor agents: {shared}"
+
+
+def reference_report(engine) -> SimReport:
+    """The report built the plain way: sets of accepted ids and of accepted
+    (agent, request) pairs, one walk over the groups per output."""
+    pool, eligibility = engine.pool, engine.trace
+    match_counts = {status.value: 0 for status in MatchStatus}
+    accepted_meals, accepted_receivers, accepted_volunteers = set(), set(), set()
+    served = 0
+    for group in engine.groups:
+        match_counts[group.status.value] += len(group.matches)
+        if group.status is MatchStatus.ACCEPTED:
+            accepted_meals.update(m.donor for m in group.matches)
+            accepted_receivers.add(group.receiver)
+            if group.volunteer is not None:
+                accepted_volunteers.add(group.volunteer)
+            served += group.total_amount
+    accepted_donor_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_meals}
+    accepted_receiver_requests = {(rid.agent_id, rid.request_seq) for rid in accepted_receivers}
+
+    active = set(engine.carry.all_ids()) | pool.queued_ids()
+    terminal = {}
+    consistent = True
+    n_d = n_r = n_v = requested = meal_count = credited = carried = 0
+    for request in pool.registered():
+        rid = request.id
+        if isinstance(request, DonationRequest):
+            if rid.meal_seq <= 1:
+                n_d += 1
+            meal_count += 1
+            if rid in accepted_meals:
+                terminal[str(rid)] = "accepted"
+                consistent = consistent and rid not in active
+            else:
+                terminal[str(rid)] = "unmatched"
+        elif isinstance(request, RequirementRequest):
+            n_r += 1
+            requested += request.amount
+            credited += request.amount - request.remaining_amount
+            if request.remaining_amount <= 0:
+                terminal[str(rid)] = "served"
+                consistent = consistent and rid not in active
+            elif rid in accepted_receivers:
+                terminal[str(rid)] = "partially_served"
+            else:
+                terminal[str(rid)] = "unserved"
+        else:
+            n_v += 1
+            carried += request.payload_capacity - request.remaining_payload
+            terminal[str(rid)] = "assigned" if rid in accepted_volunteers else "unused"
+
+    def pct(part, whole):
+        return 100.0 * part / whole if whole else 0.0
+
+    allocation = {
+        "donors": pct(len(accepted_donor_requests), n_d),
+        "receivers": pct(len(accepted_receiver_requests), n_r),
+        "volunteers": pct(len(accepted_volunteers), n_v),
+        "overall": pct(
+            len(accepted_donor_requests) + len(accepted_receiver_requests) + len(accepted_volunteers),
+            n_d + n_r + n_v,
+        ),
+        "food_requests": pct(len(accepted_donor_requests) + len(accepted_receiver_requests), n_d + n_r),
+    }
+    accepted = [g for g in engine.groups if g.status is MatchStatus.ACCEPTED]
+    deliveries = []
+    for g in accepted:
+        if g.volunteer is not None:
+            volunteer = pool.lookup(g.volunteer)
+            deliveries.append(off_route_overhead(
+                volunteer.route_start, volunteer.route_end,
+                pool.lookup(g.matches[0].donor).location, pool.lookup(g.receiver).location,
+            ))
+    accepted_groups = [
+        {
+            "group_id": g.id,
+            "donor_agent": g.donor_agent,
+            "volunteer_agent": g.volunteer.agent_id if g.volunteer else "",
+            "receiver_agent": g.receiver.agent_id,
+            "receiver": str(g.receiver),
+            "grams": g.total_amount,
+            "created_at": g.created_at,
+            "food": g.food.value,
+        }
+        for g in accepted
+    ]
+    return SimReport(
+        counts={"donors": n_d, "receivers": n_r, "volunteers": n_v, "meals": meal_count},
+        allocation=allocation,
+        served_grams=served,
+        requested_grams=requested,
+        credited_grams=credited,
+        carried_grams=carried,
+        fulfillment_pct=pct(min(served, requested), requested),
+        match_counts=match_counts,
+        deliveries=deliveries,
+        terminal_states=terminal,
+        lifecycle_consistent=consistent,
+        accepted_groups=accepted_groups,
+        eligibility_universes=eligibility.seen if eligibility is not None else {},
+    )
+
+
+class TestReportAgainstReference:
+    """The one-pass report equals the set-based reference on the same engine."""
+
+    @pytest.mark.parametrize("seed", [3, 12])
+    @pytest.mark.parametrize("rejection, no_response", [(0.0, 0.0), (0.3, 0.1)])
+    @pytest.mark.parametrize("trace", [False, True], ids=["trace-off", "trace-on"])
+    def test_every_field_matches(self, seed, rejection, no_response, trace, monkeypatch):
+        engines = []
+        build = simulate._build_report
+
+        def keep(engine):
+            engines.append(engine)
+            return build(engine)
+
+        monkeypatch.setattr(simulate, "_build_report", keep)
+        scenario = generate_scenario(ScenarioConfig(n_requests=1500, seed=seed))
+        report = run_simulation(scenario, acceptance=AcceptanceModel(rejection, no_response, seed=seed), trace=trace)
+        expected = reference_report(engines[0])
+        assert report.match_counts["accepted"] and report.deliveries
+        for f in fields(SimReport):
+            assert getattr(report, f.name) == getattr(expected, f.name), f.name

@@ -14,12 +14,17 @@ Run from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --workload gate-slice --pairs 10
     python3 tools/bench_pairs.py --parent HEAD~1 --workload city-5k --pairs 5
+    python3 tools/bench_pairs.py --parent HEAD~1 --json BENCH_13.json
 
 Each run prints one progress line on stderr. The summary gives, per workload
 and metric, each side's median, the change's median minus the parent's, the
 parent's interquartile range, the benchmark's bound, and the pairs the change
-won (ties count for neither side). The exit status is 1 if any run failed or
-reported ``"correct": false``, and 2 if the two ``BENCHMARK.json`` differ.
+won (ties count for neither side). ``--json PATH`` also writes the record: one
+entry per workload and end-to-end metric, holding each side's commit, values
+by pair, median, interquartile range, failed ops and machine state per run
+(as ``perfbench/run.py`` prints it), the change's wins, the bound, and whether
+every run was correct. The exit status is 1 if any run failed or reported
+``"correct": false``, and 2 if the two ``BENCHMARK.json`` differ.
 """
 
 from __future__ import annotations
@@ -61,16 +66,18 @@ def copy_working_tree(root: Path, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run; its result line, or why it failed."""
+    """One untraced benchmark run: its result line with the machine state of
+    the record line before it, or why it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
-    return json.loads(lines[-1])
+    record = json.loads(lines[-2])
+    return dict(json.loads(lines[-1]), machine={key: record.get(key) for key in ("nproc", "python", "start", "end")})
 
 
 def iqr(values: list[float]) -> float:
@@ -78,6 +85,30 @@ def iqr(values: list[float]) -> float:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
+
+
+def entry(workload: str, metric: dict, runs: dict[str, list[dict]], commits: dict[str, dict]) -> dict:
+    """The record of one workload's end-to-end metric; runs[side][k] is that
+    side's run of pair k, and a pair counts towards the wins only when both
+    of its runs gave the metric."""
+    name = metric["name"]
+    sides = {}
+    for side, side_runs in runs.items():
+        by_pair = [run.get("metrics", {}).get(name, {}).get("value") for run in side_runs]
+        values = [v for v in by_pair if v is not None]
+        sides[side] = dict(
+            commits[side], values=by_pair, median=statistics.median(values) if values else None, iqr=iqr(values),
+            failed_ops=sum(run.get("failed", 0) for run in side_runs),
+            machine=[run.get("machine") for run in side_runs],
+        )
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    both = [(p, c) for p, c in zip(sides["parent"]["values"], sides["change"]["values"]) if None not in (p, c)]
+    return {
+        "workload": workload, "metric": name, "unit": metric["unit"], "better": metric["better"],
+        "bound": metric.get("bound"), "parent": sides["parent"], "change": sides["change"],
+        "change_wins": sum(1 for p, c in both if sign * (c - p) < 0), "pairs": len(both),
+        "all_correct": all(run["correct"] is True for side_runs in runs.values() for run in side_runs),
+    }
 
 
 def main(argv=None) -> int:
@@ -88,48 +119,48 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
                         help="repeat for several; default every workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", metavar="PATH", help="also write the record here, e.g. BENCH_<n>.json")
     args = parser.parse_args(argv)
     if git(root, "show", f"{args.parent}:BENCHMARK.json") != (root / "BENCHMARK.json").read_bytes():
         print(f"BENCHMARK.json differs between {args.parent} and the working tree", file=sys.stderr)
         return 2
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    metrics = bench["end_to_end"]
+    commits = {
+        "parent": {"commit": git(root, "rev-parse", args.parent).decode().strip()},
+        "change": {"commit": git(root, "rev-parse", "HEAD").decode().strip(),
+                   "dirty": bool(git(root, "status", "--porcelain").strip())},
+    }
 
-    ok = True
-    rows = []
+    entries = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         copy_ref(root, args.parent, trees["parent"])
         copy_working_tree(root, trees["change"])
         for workload in workloads:
-            samples = {side: {m["name"]: [] for m in metrics} for side in trees}
+            runs: dict[str, list[dict]] = {side: [] for side in trees}
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
                     result = run_once(trees[side], workload, k, bench["run_seconds"])
-                    values = {name: entry["value"] for name, entry in result.get("metrics", {}).items()}
-                    shown = " ".join(f"{name}={value:.4f}" for name, value in values.items())
+                    shown = " ".join(f"{name}={m['value']:.4f}" for name, m in result.get("metrics", {}).items())
                     line = f"{workload} pair {k} {side}: correct={result['correct']} {shown} {result.get('error', '')}"
                     print(line.rstrip(), file=sys.stderr)
-                    ok = ok and result["correct"] is True
-                    for name, series in samples[side].items():
-                        if name in values:
-                            series.append(values[name])
-            for m in metrics:
-                parent, change = samples["parent"][m["name"]], samples["change"][m["name"]]
-                if not (parent and change):
-                    continue
-                sign = 1.0 if m["better"] == "lower" else -1.0
-                wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
-                rows.append((workload, m["name"], statistics.median(parent), statistics.median(change),
-                             statistics.median(change) - statistics.median(parent), iqr(parent),
-                             m.get("bound"), f"{wins}/{min(len(parent), len(change))}"))
+                    runs[side].append(result)
+            entries.extend(entry(workload, m, runs, commits) for m in bench["end_to_end"])
 
     header = ("workload", "metric", "parent_median", "change_median", "delta", "parent_iqr", "bound", "change_wins")
     print("  ".join(f"{h:>14}" for h in header))
-    for row in rows:
+    for e in entries:
+        parent, change = e["parent"]["median"], e["change"]["median"]
+        delta = change - parent if None not in (parent, change) else None
+        row = (e["workload"], e["metric"], parent, change, delta, e["parent"]["iqr"], e["bound"],
+               f"{e['change_wins']}/{e['pairs']}")
         print("  ".join(f"{v:>14.4f}" if isinstance(v, float) else f"{v!s:>14}" for v in row))
-    return 0 if ok else 1
+    if args.json:
+        record = {"parent_ref": args.parent, "pairs": args.pairs, "run_seconds": bench["run_seconds"],
+                  "entries": entries}
+        Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
+    return 0 if all(e["all_correct"] for e in entries) else 1
 
 
 if __name__ == "__main__":
