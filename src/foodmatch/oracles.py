@@ -1,22 +1,23 @@
 """Brute-force oracles for the engine's matching properties.
 
-The oracles recompute eligibility, preference positions, and feasible
-assignments from first principles and then check the produced matching
-against the full enumeration, independently of the engine's selection path:
+The oracles recompute eligibility and preference positions from first
+principles and then check the produced matching pair by pair, independently
+of the engine's selection path:
 
 - the off-routing bound: every recorded delivery stays within four times the
   per-end off-routing allowance;
-- the assignment oracle: against every feasible donor-to-receiver
-  assignment, the produced matching must be feasible itself, maximal (no
-  feasible pair left wholly unused) and justified (no receiver assigned a
-  donor while an unmatched eligible donor ranked that receiver strictly
-  better), so no enumerated alternative can improve a left-out donor's rank
-  without taking a matched donor's assignment for a strictly worse-ranked
-  one;
-- the misreport probe: exhaustively rerunning an instance under every
-  unilateral preference-list misreport, an agent's achieved rank measured by
-  its true preferences must never strictly improve unless the truthful
-  partner fell outside the manipulator's run-time eligibility universe.
+- the assignment oracle: the produced matching must be feasible itself,
+  maximal (no unmatched donor fits a receiver's open demand), justified (no
+  receiver assigned a donor while an unmatched eligible donor ranked that
+  receiver strictly better) and loadable (each receiver's meals fit its
+  requirement up to a final-meal overshoot), so no single swap or addition
+  can improve a left-out donor's rank without taking a matched donor's
+  assignment for a strictly worse-ranked one;
+- the misreport probe: rerunning an instance with each agent reporting, in
+  turn, every ordered subset of the other side's first four agents, an
+  agent's achieved rank measured by its true preferences must never strictly
+  improve unless the truthful partner fell outside the manipulator's
+  run-time eligibility universe.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
-from .classify import CLASS_ROUNDS, ClassifiedLists, trifurcate
-from .engine import EligibilityTrace, MatchPolicy, ca_dtb, gated
+from .engine import CLASS_ROUNDS, ClassifiedLists, EligibilityTrace, MatchPolicy, ca_dtb, gated, trifurcate
 from .geometry import default_vicinity, distance, within_dropoff_band
 from .model import (
     PERISHABILITY,
@@ -46,6 +46,8 @@ from .model import (
 MAX_ORACLE_DONORS = 5
 MAX_ORACLE_RECEIVERS = 5
 MAX_ORACLE_VOLUNTEERS = 3
+# a misreport lists an ordered subset of the other side's first this many agents
+MISREPORT_AGENTS = 4
 
 _FOOD_TYPES = tuple(FoodType)
 
@@ -81,7 +83,7 @@ def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:
     work = instance.clone()
     trace = EligibilityTrace()
     snapshot = sorted(work.donors + work.receivers + work.vols, key=lambda r: r.arrival)
-    lists = trifurcate(snapshot, ClassifiedLists())
+    lists = trifurcate(snapshot, ClassifiedLists(), work.now, work.thresholds)
 
     matches: list[Match] = []
     for food, donors, receivers in CLASS_ROUNDS:
@@ -194,13 +196,15 @@ def _receiver_load_feasible(amount: int, meals: Sequence[int]) -> bool:
 
 
 def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> OracleVerdict:
-    """Check the produced matching against every feasible assignment.
+    """Check the produced matching pair by pair.
 
-    Flags a produced pair that the enumeration would not admit, and a
-    counterexample assignment whenever the enumeration can improve a
-    donor that the produced matching left unmatched, either onto spare
-    receiver demand (the produced matching was not maximal) or in place of a
-    strictly worse-ranked matched donor (a selection was not justified).
+    Flags a produced pair that fails the first-principles predicates, and a
+    counterexample assignment whenever one change improves a donor that the
+    produced matching left unmatched, either onto spare receiver demand (the
+    produced matching was not maximal) or in place of a strictly
+    worse-ranked matched donor (a selection was not justified); last, a
+    receiver whose meals overshoot its requirement by more than the final
+    meal.
     """
     if len(instance.donors) > MAX_ORACLE_DONORS or len(instance.receivers) > MAX_ORACLE_RECEIVERS:
         raise ValueError("instance too large for exhaustive enumeration")
@@ -412,8 +416,8 @@ def _matched_pairs(matches: Sequence[Match]):
     return ((m.donor.agent_id, m.receiver.agent_id) for m in matches if m.receiver is not None)
 
 
-def _misreports(universe: Sequence[int], cap: int = 4) -> list[tuple[int, ...]]:
-    ids = list(universe)[:cap]
+def _misreports(universe: Sequence[int]) -> list[tuple[int, ...]]:
+    ids = list(universe)[:MISREPORT_AGENTS]
     out: list[tuple[int, ...]] = []
     for size in range(len(ids) + 1):
         for subset in itertools.combinations(ids, size):
@@ -422,8 +426,9 @@ def _misreports(universe: Sequence[int], cap: int = 4) -> list[tuple[int, ...]]:
 
 
 def exhaustive_misreports(instance: Instance) -> MisreportReport:
-    """Try every unilateral preference-list misreport on every donor and
-    receiver of a small instance and score each by the agent's true list."""
+    """Rerun a small instance with each donor and receiver in turn reporting
+    every ordered subset of the other side's first MISREPORT_AGENTS agents
+    (its true list excepted), and score each run by the agent's true list."""
     report = MisreportReport()
     base_matches, _ = run_instance(instance)
     truthful = partner_index(_matched_pairs(base_matches))

@@ -412,13 +412,13 @@ _REQUIRED = object()
 
 
 def _get(record: dict, name: str, kind, default=_REQUIRED):
-    """Read one field of a request record as an int, str, bool, list of
+    """Take one field out of a request record as an int, str, bool, list of
     ints, [x, y] location or [start, end] window."""
     if name not in record:
         if default is _REQUIRED:
             raise ValueError(f"missing field {name!r}")
         return default
-    value = record[name]
+    value = record.pop(name)
     if kind is int:
         return finite_number(value, name, integral=True)
     if kind is tuple:
@@ -435,6 +435,8 @@ def _get(record: dict, name: str, kind, default=_REQUIRED):
 def _request_from_record(record) -> TimedRequest:
     if not isinstance(record, dict):
         raise ValueError(f"expected an object, got {type(record).__name__}")
+    # every read takes its key out, so what is left was never read
+    record = dict(record)
     rid = RequestId(_get(record, "agent_id", int), _get(record, "request_seq", int, 1))
     window = _get(record, "window", TimeWindow)
     kind = _get(record, "type", str)
@@ -479,6 +481,8 @@ def _request_from_record(record) -> TimedRequest:
     else:
         raise ValueError(f"unknown request type {kind!r}")
     submit_at = _get(record, "submit_at", int)
+    if record:
+        raise ValueError(f"unknown keys {sorted(record)}")
     if submit_at < 0 or window.start < 0:
         raise ValueError(f"minutes must not be negative, got submit_at {submit_at}, window start {window.start}")
     return TimedRequest(submit_at=submit_at, request=request)
@@ -568,10 +572,6 @@ def _scenario_chunks(scenario: Scenario) -> Iterator[str]:
         yield separator + encode(_request_to_record(timed))
         separator = ", "
     yield "]}"
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    return "".join(_scenario_chunks(scenario))
 
 
 def _scenario(config, records) -> Scenario:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from foodmatch import cli, engine
+from foodmatch.oracles import run_instance, sized_instance
 from foodmatch.scenario import ScenarioConfig, generate_scenario, load_scenario
 from foodmatch.simulate import run_simulation
 
@@ -54,6 +55,18 @@ def test_engine_layers_are_counted(installed):
     assert tracer.counts["engine.provisional_matches"] > 0
     assert tracer.counts["engine.completed_matches"] > 0
     assert "engine.match_receivers" in {span[0] for span in tracer.spans}
+
+
+def test_classification_is_traced_in_runs_and_oracles(installed):
+    # the simulator's engine and the oracles' one-shot run each call their
+    # module's trifurcate, with the carry as its second argument
+    tracer, _ = installed
+    run_simulation(generate_scenario(ScenarioConfig(n_requests=120, seed=2)))
+    assert "classify.trifurcate" in {span[0] for span in tracer.spans}
+    assert tracer.counts["classify.carried_requests"] > 0
+    before = len(tracer.spans)
+    run_instance(sized_instance(3, 4, 4, 2))
+    assert {"classify.trifurcate", "engine.ca_dtb"} <= {span[0] for span in tracer.spans[before:]}
 
 
 def test_traced_dump_counts_the_written_file(installed, tmp_path):

@@ -311,6 +311,10 @@ MALFORMED = {
         "request 1: minutes must not be negative",
     ),
     "negative_window_start": (json.dumps({"requests": [_valid_record(window=[-10, 720])]}), "request 0: minutes must not be negative"),
+    "unknown_record_key": (
+        json.dumps({"requests": [_valid_record(), _valid_record(agent_id=2, preffered=[2, 3])]}),
+        "request 1: unknown keys ['preffered']",
+    ),
     "duplicate_preferred_donors": (
         json.dumps({"requests": [_valid_record(), _valid_record(
             type="requirement", agent_id=2, window=[760, 800], preferred=[5, 7, 5])]}),

@@ -1,4 +1,4 @@
-"""Brute-force oracles: off-routing bound, assignment enumeration, misreports."""
+"""Brute-force oracles: off-routing bound, assignment checks, misreports."""
 
 import hashlib
 import json
@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from foodmatch.engine import MatchPolicy
+from foodmatch.engine import MatchingEngine, MatchPolicy
 from foodmatch.geometry import DeliveryRecord, distance
 from foodmatch.model import (
     DonationRequest,
@@ -17,17 +17,21 @@ from foodmatch.model import (
     RequirementRequest,
     Thresholds,
     TimeWindow,
+    VolunteerRequest,
 )
 from foodmatch.oracles import (
     Instance,
     brute_force_pareto_oracle,
     exhaustive_misreports,
     gamma_violations,
+    partner_index,
     random_instance,
     run_instance,
+    score_misreport,
     sized_instance,
     true_rank,
 )
+from foodmatch.pool import ActivePool, submit_request
 
 TH = Thresholds()
 
@@ -173,9 +177,9 @@ class TestAssignmentOracle:
 
     def test_infeasible_produced_pair_flagged(self):
         # reassign a matched donor to a receiver outside its vicinity: the
-        # produced matching is no longer one the enumeration admits. Under
-        # raw preferences the far receiver is on the donor's list, so only
-        # the feasibility predicate can catch it.
+        # produced pair is no longer feasible. Under raw preferences the far
+        # receiver is on the donor's list, so only the feasibility predicate
+        # can catch it.
         for policy in (MatchPolicy(), MatchPolicy(preferences="raw")):
             instance = random_instance(3, policy=policy)
             matches, _ = run_instance(instance)
@@ -187,6 +191,31 @@ class TestAssignmentOracle:
             assert not verdict.ok, policy
             assert verdict.reason == "produced pair is infeasible"
             assert verdict.counterexample == {"donor": str(donor.id), "receiver": str(far.id)}
+
+
+class TestOneShotRun:
+    def test_volunteer_past_its_window_carries_nothing(self):
+        # the volunteer's window ended at 550: at minute 600 it has left the
+        # market in the simulator's iteration, so the donor's own 5 km
+        # perishable reach cannot cover the receiver 12 km away
+        requests = [
+            DonationRequest(id=RequestId(1, 1), arrival=1, location=Location(0, 0), food=FoodType.FRESHLY_COOKED,
+                            amount=900, window=TimeWindow(500, 800)),
+            RequirementRequest(id=RequestId(2, 1), arrival=2, location=Location(12, 0), food=FoodType.FRESHLY_COOKED,
+                               amount=900, window=TimeWindow(700, 900)),
+            VolunteerRequest(id=RequestId(3, 1), arrival=3, route_start=Location(0.1, 0), route_end=Location(12, 0.2),
+                             motored=True, ac=False, payload_capacity=5000, window=TimeWindow(400, 550)),
+        ]
+        pool = ActivePool()
+        for request in requests:
+            submit_request(request, pool, TH)
+        assert MatchingEngine(pool, TH).iterate(600) == []
+        instance = Instance(donors=requests[:1], receivers=requests[1:2], vols=requests[2:], now=600)
+        matches, _ = run_instance(instance)
+        assert [m.receiver for m in matches] == [None]
+        # with the window reaching minute 600 the volunteer carries it
+        instance.vols = [replace(requests[2], window=TimeWindow(400, 600))]
+        assert [m.receiver for m in run_instance(instance)[0]] == [RequestId(2, 1)]
 
 
 def hand_market(donor_lists, receiver_amounts):
@@ -256,6 +285,10 @@ class TestTrueRank:
         assert true_rank((5, 7, 9), [9, 5]) == 1
 
 
+def partners_of(matches):
+    return partner_index((m.donor.agent_id, m.receiver.agent_id) for m in matches if m.receiver is not None)
+
+
 class TestMisreports:
     def test_no_hard_violations_on_small_instances(self):
         for seed in range(12):
@@ -290,6 +323,51 @@ class TestMisreports:
         assert {case[1] for case in hard} == {"donor"}
         digest = hashlib.sha256(json.dumps(hard).encode()).hexdigest()
         assert (len(report.improvements), len(hard), digest) == self.CONTESTED[offset]
+
+    # shape of sized_instance(9000 + s, *shape, city=6.0) for s < 200 ->
+    # (misreports, hard gains, instances with a hard gain, sha256 of the
+    # hard-gain cases)
+    ESCAPES = {
+        (8, 8, 4): (1054, 36, 16, "59aa508b41b29f516aa259d22558fbb90fc98012976e286b60c398d562626599"),
+        (4, 4, 2): (264, 6, 3, "443e1e1a1ad995578d88cd99e4d819827cfd516a8bd36bf4b20af4ff46f67b38"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(ESCAPES), ids=lambda shape: "/".join(map(str, shape)))
+    def test_escape_sweep_donor_gains_are_pinned(self, shape):
+        """Each donor matched below its first listed choice reruns once with
+        that partner dropped from its list and once with it demoted to last.
+        On contested markets some of these escapes win the donor a better
+        partner by its true list; a fix of the mechanism, or a regression,
+        changes the pinned figures."""
+        misreports, hard, instances = 0, [], 0
+        for s in range(200):
+            instance = sized_instance(9000 + s, *shape, city=6.0)
+            truthful = partners_of(run_instance(instance)[0])
+            gained = len(hard)
+            for donor in instance.donors:
+                agent, listed = donor.id.agent_id, donor.preferred_receivers
+                partners = truthful.get((agent, "donor"), [])
+                rank = true_rank(listed, partners)
+                if not 1 < rank <= len(listed):
+                    continue
+                partner = listed[rank - 1]
+                dropped = tuple(a for a in listed if a != partner)
+                reports = [dropped]
+                if listed[-1] != partner:  # demoting the last entry changes nothing
+                    reports.append(dropped + (partner,))
+                for report in reports:
+                    variant = replace(instance, donors=[
+                        replace(d, preferred_receivers=report) if d is donor else d for d in instance.donors
+                    ])
+                    matches, trace = run_instance(variant)
+                    case = score_misreport(agent, "donor", report, listed, partners,
+                                           partners_of(matches).get((agent, "donor"), []), trace.seen.get(agent, ()))
+                    misreports += 1
+                    if case.gain > 0 and not case.exception:
+                        hard.append([s, agent, list(report), case.truthful_rank, case.misreport_rank])
+            instances += len(hard) > gained
+        digest = hashlib.sha256(json.dumps(hard).encode()).hexdigest()
+        assert (misreports, len(hard), instances, digest) == self.ESCAPES[shape]
 
     @pytest.mark.xfail(
         strict=True,

@@ -13,6 +13,7 @@ import json
 from dataclasses import fields
 
 import pytest
+from test_scenario import scenario_text
 
 from foodmatch.experiments import desk_policy_config, desk_volunteer_sweep_config
 from foodmatch.model import (
@@ -26,7 +27,7 @@ from foodmatch.model import (
     VolunteerRequest,
 )
 from foodmatch.oracles import random_instance, sized_instance
-from foodmatch.scenario import ScenarioConfig, TimedRequest, generate_scenario, scenario_from_dict, scenario_to_json
+from foodmatch.scenario import ScenarioConfig, TimedRequest, generate_scenario, scenario_from_dict
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
 RUN_TIME_FIELDS = {"arrival", "remaining_amount", "remaining_payload"}
@@ -63,7 +64,7 @@ SOURCES = {
     "from_json": lambda: [
         t.request
         for t in scenario_from_dict(
-            json.loads(scenario_to_json(generate_scenario(ScenarioConfig(n_requests=200, seed=8))))
+            json.loads(scenario_text(generate_scenario(ScenarioConfig(n_requests=200, seed=8))))
         ).requests
     ],
     "random_instance": lambda: [r for seed in range(20) for r in _instance_requests(random_instance(seed))],

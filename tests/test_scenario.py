@@ -17,9 +17,13 @@ from foodmatch.scenario import (
     read_scenario,
     save_scenario,
     scenario_from_dict,
-    scenario_to_json,
     with_volunteer_count,
 )
+
+
+def scenario_text(scenario):
+    """A scenario file's text, as save_scenario writes it."""
+    return "".join(scenario_module._scenario_chunks(scenario))
 
 
 def split_roles(scenario):
@@ -35,7 +39,7 @@ def split_roles(scenario):
 class TestGeneration:
     def test_deterministic_per_seed(self):
         config = ScenarioConfig(n_requests=100, seed=42)
-        assert scenario_to_json(generate_scenario(config)) == scenario_to_json(generate_scenario(config))
+        assert scenario_text(generate_scenario(config)) == scenario_text(generate_scenario(config))
 
     def test_request_count(self):
         scenario = generate_scenario(ScenarioConfig(n_requests=200, seed=1))
@@ -132,7 +136,7 @@ class TestRoundTrip:
         save_scenario(scenario, path)
         loaded = load_scenario(path)
         assert loaded.config == scenario.config
-        assert scenario_to_json(loaded) == scenario_to_json(scenario)
+        assert scenario_text(loaded) == scenario_text(scenario)
 
     def test_unknown_request_type_rejected(self):
         with pytest.raises(ValueError, match="unknown request type"):
@@ -142,7 +146,7 @@ class TestRoundTrip:
 
     def test_indented_layout_loads_to_the_same_scenario(self):
         scenario = generate_scenario(ScenarioConfig(n_requests=120, seed=6))
-        text = scenario_to_json(scenario)
+        text = scenario_text(scenario)
         indented = json.dumps(json.loads(text), indent=1, sort_keys=True)
         assert "\n" not in text and "\n" in indented
         assert scenario_from_dict(json.loads(indented)) == scenario_from_dict(json.loads(text)) == scenario
@@ -162,7 +166,7 @@ class TestRoundTrip:
 def _layouts() -> dict[str, str]:
     """Scenario and instance files in every layout the reader accepts, and
     broken ones it must reject."""
-    text = scenario_to_json(generate_scenario(ScenarioConfig(n_requests=40, seed=6)))
+    text = scenario_text(generate_scenario(ScenarioConfig(n_requests=40, seed=6)))
     payload = json.loads(text)
     config, records = payload["config"], payload["requests"]
     dump = json.dumps
@@ -246,9 +250,9 @@ class TestStreamingReader:
         assert len({id(v) for v in values}) == len(set(values)) < len(values)
 
 
-_INSTANCE_RECORDS = json.loads(scenario_to_json(generate_scenario(ScenarioConfig(n_requests=4, seed=5))))["requests"]
+_INSTANCE_RECORDS = json.loads(scenario_text(generate_scenario(ScenarioConfig(n_requests=4, seed=5))))["requests"]
 _FUZZ_BASES = (
-    scenario_to_json(generate_scenario(ScenarioConfig(n_requests=6, seed=2))),
+    scenario_text(generate_scenario(ScenarioConfig(n_requests=6, seed=2))),
     # an instance file: top-level numbers may end a chunk
     '{"at": 6400, "requests": %s, "note": [1.5, null], "n": -12}' % json.dumps(_INSTANCE_RECORDS, indent=1),
 )
