@@ -121,13 +121,13 @@ class ClassifiedLists:
             for request in lst:
                 yield request.id
 
-
-# one iteration's class rounds in market order, perishable first: each names
-# its food class and its donor and receiver lists; volunteers are shared
-CLASS_ROUNDS = (
-    (Perishability.PERISHABLE, "pfd", "pfr"),
-    (Perishability.NON_PERISHABLE, "npfd", "npfr"),
-)
+    def rounds(self):
+        """(food class, donors, receivers) of each class round, perishable
+        first; both rounds share the volunteers in v."""
+        return (
+            (Perishability.PERISHABLE, self.pfd, self.pfr),
+            (Perishability.NON_PERISHABLE, self.npfd, self.npfr),
+        )
 
 
 def trifurcate(
@@ -414,30 +414,26 @@ def match_receivers(
 @dataclass
 class CaDtbResult:
     matches: list[Match]
-    donors: list[DonationRequest]
-    receivers: list[RequirementRequest]
-    vols: list[VolunteerRequest]
 
     def completed(self) -> list[Match]:
         return [m for m in self.matches if m.receiver is not None]
 
 
 def ca_dtb(
-    donors: Sequence[DonationRequest],
-    receivers: Sequence[RequirementRequest],
-    vols: Sequence[VolunteerRequest],
+    donors: list[DonationRequest],
+    receivers: list[RequirementRequest],
+    vols: list[VolunteerRequest],
     food: Perishability,
     now: int,
     thresholds: Thresholds,
     policy: MatchPolicy = MatchPolicy(),
     trace: Optional[EligibilityTrace] = None,
 ) -> CaDtbResult:
-    """Run one class's matching round and return the leftovers.
+    """Run one class's matching round, updating the market lists in place.
 
-    Donors that end up without a receiver have their volunteer reservation
-    rolled back; both stay in the market for the next iteration. Receivers
-    whose requirement is fully covered leave the market; partially covered
-    ones carry over.
+    Served donors, fully covered receivers and the volunteers committed to a
+    served donor leave their lists; unserved donors, their volunteer
+    reservation rolled back, and partially covered receivers stay.
     """
     gated_donors = gated(donors, now, thresholds)
     gated_receivers = gated(receivers, now, thresholds)
@@ -456,10 +452,16 @@ def ca_dtb(
         elif volunteer is not None:
             volunteer.remaining_payload += d.amount
 
-    leftover_donors = [d for d in donors if d.id not in matched_donors]
-    leftover_receivers = [r for r in receivers if r.remaining_amount > 0]
-    leftover_vols = [v for v in vols if v.id not in committed_vols]
-    return CaDtbResult(matches, leftover_donors, leftover_receivers, leftover_vols)
+    # clear and extend, not slice assignment: that also copies the old items
+    # into a scratch buffer, and read 0.1-0.2 MB more peak RSS on gate-slice
+    for market, kept in (
+        (donors, [d for d in donors if d.id not in matched_donors]),
+        (receivers, [r for r in receivers if r.remaining_amount > 0]),
+        (vols, [v for v in vols if v.id not in committed_vols]),
+    ):
+        market.clear()
+        market.extend(kept)
+    return CaDtbResult(matches)
 
 
 @dataclass
@@ -555,14 +557,9 @@ class MatchingEngine:
         carry = self.carry = trifurcate(self.pool.drain(), self.carry, now, self.thresholds)
 
         displayed = []
-        for food, donors, receivers in CLASS_ROUNDS:
-            result = ca_dtb(
-                getattr(carry, donors), getattr(carry, receivers), carry.v,
-                food, now, self.thresholds, policy=self.policy, trace=self.trace,
-            )
-            setattr(carry, donors, result.donors)
-            setattr(carry, receivers, result.receivers)
-            carry.v = result.vols
+        for food, donors, receivers in carry.rounds():
+            result = ca_dtb(donors, receivers, carry.v, food, now, self.thresholds,
+                            policy=self.policy, trace=self.trace)
             displayed.extend(self._display(result, food, now))
 
         expire_stale_matches(self.open_groups, now, self.thresholds)

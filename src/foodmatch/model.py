@@ -185,17 +185,14 @@ class RequirementRequest(_RequestShell):
     amount: int
     window: TimeWindow
     preferred_donors: tuple[int, ...] = ()
-    remaining_amount: int = field(default=-1)
+    remaining_amount: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.amount <= 0:
             raise ValueError("invalid amount")
         if len(set(self.preferred_donors)) != len(self.preferred_donors):
             raise ValueError("duplicate entries in preferred donors")
-        if self.remaining_amount < 0:
-            self.remaining_amount = self.amount
-        if self.remaining_amount > self.amount:
-            raise ValueError("remaining amount exceeds requirement")
+        self.remaining_amount = self.amount
 
 
 @dataclass(slots=True)
@@ -211,15 +208,12 @@ class VolunteerRequest(_RequestShell):
     payload_capacity: int
     window: TimeWindow
     receivers: tuple[int, ...] = ()
-    remaining_payload: int = field(default=-1)
+    remaining_payload: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.payload_capacity <= 0:
             raise ValueError("invalid payload capacity")
-        if self.remaining_payload < 0:
-            self.remaining_payload = self.payload_capacity
-        if self.remaining_payload > self.payload_capacity:
-            raise ValueError("remaining payload exceeds capacity")
+        self.remaining_payload = self.payload_capacity
 
 
 Request = Union[DonationRequest, RequirementRequest, VolunteerRequest]

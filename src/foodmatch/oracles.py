@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
-from .engine import CLASS_ROUNDS, ClassifiedLists, EligibilityTrace, MatchPolicy, ca_dtb, gated, trifurcate
+from .engine import ClassifiedLists, EligibilityTrace, MatchPolicy, ca_dtb, gated, trifurcate
 from .geometry import default_vicinity, distance, within_dropoff_band
 from .model import (
     PERISHABILITY,
@@ -42,6 +42,7 @@ from .model import (
     TimeWindow,
     VolunteerRequest,
 )
+from .pool import split_into_meals
 
 MAX_ORACLE_DONORS = 5
 MAX_ORACLE_RECEIVERS = 5
@@ -82,18 +83,20 @@ def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:
     """One mechanism iteration over the instance, perishable class first."""
     work = instance.clone()
     trace = EligibilityTrace()
-    snapshot = sorted(work.donors + work.receivers + work.vols, key=lambda r: r.arrival)
+    # a meal keeps its donation's arrival, so the stable sort keeps piece order
+    snapshot = sorted(_meals(work) + work.receivers + work.vols, key=lambda r: r.arrival)
     lists = trifurcate(snapshot, ClassifiedLists(), work.now, work.thresholds)
 
     matches: list[Match] = []
-    for food, donors, receivers in CLASS_ROUNDS:
-        result = ca_dtb(
-            getattr(lists, donors), getattr(lists, receivers), lists.v, food,
-            work.now, work.thresholds, policy=work.policy, trace=trace,
-        )
-        lists.v = result.vols
+    for food, donors, receivers in lists.rounds():
+        result = ca_dtb(donors, receivers, lists.v, food, work.now, work.thresholds, policy=work.policy, trace=trace)
         matches.extend(result.matches)
     return matches, trace
+
+
+def _meals(instance: Instance) -> list[DonationRequest]:
+    """The donations split into meals as the simulator's intake splits them."""
+    return [meal for d in instance.donors for meal in split_into_meals(d, instance.thresholds.t_m)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ class _OracleWorld:
         self.instance = instance
         self.thresholds = instance.thresholds
         self.raw_mode = instance.policy.preferences == "raw"
-        self.gated_donors = gated(instance.donors, instance.now, instance.thresholds)
+        self.gated_donors = gated(_meals(instance), instance.now, instance.thresholds)
         self.gated_receivers = gated(instance.receivers, instance.now, instance.thresholds)
         vols_by_id = {v.id: v for v in instance.vols}
         self.vicinity: dict[RequestId, float] = {}
@@ -495,7 +498,12 @@ def sized_instance(
     policy: MatchPolicy = MatchPolicy(),
     city: float = 16.0,
 ) -> Instance:
-    """A simultaneously gateable market snapshot with exact role counts."""
+    """A simultaneously gateable market snapshot with exact role counts.
+
+    Agents count up from 101 (donors), 201 (receivers) and 301 (volunteers),
+    so past 100 per role ids collide across roles (receiver and volunteer
+    301.1) and an EligibilityTrace mixes both roles' views of one agent id;
+    recorded results pin these ids."""
     rng = random.Random(f"instance:{seed}")
     thresholds = thresholds or Thresholds()
     now = 600

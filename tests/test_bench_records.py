@@ -59,3 +59,25 @@ def test_entry_counts_wins_over_pairs_where_both_sides_ran():
     assert entry["parent"]["median"] == 1.5 and entry["change"]["median"] == 0.5
     assert entry["parent"]["commit"] == "a" and entry["change"]["machine"] == [{"nproc": 2}] * 3
     assert entry["all_correct"] is False
+
+
+def _tree(root, extra=None):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"paths": ["perfbench"]}))
+    (root / "perfbench" / "expected.json").write_text('{"digest": "abc"}')
+    (root / "perfbench" / "run.py").write_text("print('run')\n")
+    if extra:
+        (root / extra).write_text("")
+    return root
+
+
+def test_benchmark_difference_names_the_first_differing_file(tmp_path):
+    difference = _bench_pairs().benchmark_difference
+    parent = _tree(tmp_path / "parent")
+    assert difference(parent, _tree(tmp_path / "same")) is None
+    changed = _tree(tmp_path / "changed")
+    (changed / "perfbench" / "expected.json").write_text('{"digest": "abd"}')
+    assert difference(parent, changed) == "perfbench/expected.json"
+    extra = _tree(tmp_path / "extra", extra="perfbench/workload_new.py")
+    assert difference(parent, extra) == "perfbench/workload_new.py"
+    assert difference(extra, parent) == "perfbench/workload_new.py"

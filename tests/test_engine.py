@@ -336,11 +336,12 @@ class TestEndTimeSorting:
 
     def test_end_sort_serves_short_deadline_first(self):
         meals, r1, r2 = self._market()
-        result = ca_dtb(meals, [r1, r2], [], P, 690, TH, policy=MatchPolicy(receiver_sort="end"))
+        receivers = [r1, r2]
+        result = ca_dtb(meals, receivers, [], P, 690, TH, policy=MatchPolicy(receiver_sort="end"))
         by_meal = {m.donor.meal_seq: m.receiver for m in result.matches}
         assert by_meal[1] == r2.id  # earliest end served first, takes the first meal
         assert by_meal[2] == r1.id
-        assert result.receivers == []  # both fully served
+        assert receivers == []  # both fully served
 
     def test_start_sort_serves_early_start_first(self):
         meals, r1, r2 = self._market()
@@ -367,23 +368,33 @@ class TestCaDtb:
     def test_no_receivers_all_pending_and_rolled_back(self):
         d = donor(1)
         v = vol(90)
-        result = ca_dtb([d], [], [v], P, 660, TH)
+        donors, vols = [d], [v]
+        result = ca_dtb(donors, [], vols, P, 660, TH)
         assert [m.receiver for m in result.matches] == [None]
-        assert result.donors == [d]
-        assert v in result.vols
+        assert donors == [d]
+        assert vols == [v]
         assert v.remaining_payload == v.payload_capacity  # reservation rolled back
 
     def test_sticky_volunteer_keeps_only_the_served_meal(self):
         meals = [donor(1, meal=k) for k in (1, 2)]
         r = receiver(50, amount=1000)
         v = vol(90, payload=5000)
-        result = ca_dtb(meals, [r], [v], P, 660, TH)
+        donors, vols = list(meals), [v]
+        result = ca_dtb(donors, [r], vols, P, 660, TH)
         assert [m.volunteer for m in result.matches] == [v.id, v.id]
         assert [m.donor for m in result.completed()] == [meals[0].id]
-        assert result.donors == [meals[1]]
+        assert donors == [meals[1]]
         # the unserved meal's 1000 g came back; the served meal's stays reserved
         assert v.remaining_payload == 4000
-        assert v not in result.vols
+        assert vols == []
+
+    def test_partly_covered_receiver_stays(self):
+        d = donor(1, amount=1000, loc=(10, 10))
+        r = receiver(50, amount=2500, loc=(11, 10))
+        donors, receivers = [d], [r]
+        ca_dtb(donors, receivers, [], P, 660, TH)
+        assert donors == [] and receivers == [r]
+        assert r.remaining_amount == 1500
 
     def test_no_volunteers_floor_vicinity_matches(self):
         d = donor(1, loc=(10, 10))
@@ -398,28 +409,31 @@ class TestCaDtb:
         d = donor(1, loc=(10, 10))
         r = receiver(50, loc=(20, 10.5))
         v = vol(90)
-        result = ca_dtb([d], [r], [v], P, 660, TH)
+        donors, receivers, vols = [d], [r], [v]
+        result = ca_dtb(donors, receivers, vols, P, 660, TH)
         completed = result.completed()
         assert len(completed) == 1
         match = completed[0]
         assert match.volunteer == v.id and match.receiver == r.id
         assert match.delivered_amount == 1000
-        assert result.donors == [] and result.receivers == [] and result.vols == []
+        assert donors == [] and receivers == [] and vols == []
 
     def test_receiver_out_of_perishable_reach_unmatched(self):
         d = donor(1, loc=(10, 10))
         r = receiver(50, loc=(20, 10))  # 10 km > 5 km floor, no volunteers
-        result = ca_dtb([d], [r], [], P, 660, TH)
+        donors, receivers = [d], [r]
+        result = ca_dtb(donors, receivers, [], P, 660, TH)
         assert result.completed() == []
-        assert result.donors == [d] and result.receivers == [r]
+        assert donors == [d] and receivers == [r]
 
     def test_overshooting_final_meal_accepted(self):
         d = donor(1, amount=1500, loc=(10, 10))
         r = receiver(50, amount=500, loc=(11, 10))
-        result = ca_dtb([d], [r], [], P, 660, TH)
+        receivers = [r]
+        result = ca_dtb([d], receivers, [], P, 660, TH)
         assert len(result.completed()) == 1
         assert r.remaining_amount == -1000
-        assert result.receivers == []
+        assert receivers == []
 
     def test_determinism(self):
         def build():
@@ -501,6 +515,28 @@ class TestClubbing:
     def test_single_match_identity(self):
         groups = club_matches([self._match(1, 0, None, RequestId(50, 1))])
         assert len(groups) == 1 and len(groups[0]) == 1
+
+
+class TestClassRounds:
+    def _volunteers_by_class(self, perishable_pair):
+        """The volunteer of each class's displayed group at minute 660: a
+        non-perishable pair the volunteer can carry, and optionally a
+        perishable pair that needs it to reach 10 km."""
+        requests = [donor(2, food=FoodType.PACKAGED_SOLID),
+                    receiver(51, loc=(20, 10.5), food=FoodType.PACKAGED_SOLID), vol(90, payload=10_000)]
+        if perishable_pair:
+            requests += [donor(1), receiver(50, loc=(20, 10.5))]
+        pool = ActivePool()
+        for request in requests:
+            submit_request(request, pool, TH)
+        return {group.food: group.volunteer for group in MatchingEngine(pool, TH).iterate(660)}
+
+    def test_committed_volunteer_leaves_before_the_non_perishable_round(self):
+        # alone, the non-perishable donor gets the volunteer; once the
+        # perishable round has committed it, with payload to spare, the
+        # non-perishable round no longer offers it
+        assert self._volunteers_by_class(False) == {NP: RequestId(90, 1)}
+        assert self._volunteers_by_class(True) == {P: RequestId(90, 1), NP: None}
 
 
 def displayed_group(meals=1):

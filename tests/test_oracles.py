@@ -218,6 +218,28 @@ class TestOneShotRun:
         assert [m.receiver for m in run_instance(instance)[0]] == [RequestId(2, 1)]
 
 
+    def test_donations_split_into_the_simulators_meals(self):
+        def market():
+            return [
+                DonationRequest(id=RequestId(1, 1), arrival=1, location=Location(0, 0),
+                                food=FoodType.FRESHLY_COOKED, amount=2500, window=TimeWindow(700, 800)),
+                RequirementRequest(id=RequestId(2, 1), arrival=2, location=Location(1, 0),
+                                   food=FoodType.FRESHLY_COOKED, amount=3000, window=TimeWindow(750, 900)),
+            ]
+
+        pool = ActivePool()
+        for request in market():
+            submit_request(request, pool, TH)
+        (group,) = MatchingEngine(pool, TH).iterate(600)
+        served = [(str(m.donor), m.delivered_amount, m.receiver) for m in group.matches]
+        assert served == [("1.1.1", 1000, RequestId(2, 1)), ("1.1.2", 1500, RequestId(2, 1))]
+        donation, requirement = market()
+        instance = Instance(donors=[donation], receivers=[requirement], vols=[], now=600)
+        matches, _ = run_instance(instance)
+        assert [(str(m.donor), m.delivered_amount, m.receiver) for m in matches] == served
+        assert brute_force_pareto_oracle(instance, matches).describe() == "pareto-ok"
+
+
 def hand_market(donor_lists, receiver_amounts):
     """Donors of 700 g and receivers at one spot, every pair feasible: the
     donors' submitted lists, receivers by agent id and amount."""

@@ -6,9 +6,10 @@ ignored files, and runs ``perfbench/run.py --trace 0`` in each for N pairs
 per workload. Pair k runs both sides on seed k, and the side that goes first
 alternates from pair to pair. Runs use ``PYTHONDONTWRITEBYTECODE=1``, so every
 set-up compiles the sources afresh. Workloads, end-to-end metrics, their
-directions and bounds, and the run length come from ``BENCHMARK.json``; the
-script refuses to run when the ref's copy and the working tree's differ, so
-both sides are judged by the same benchmark.
+directions and bounds, and the run length come from ``BENCHMARK.json``. Each
+side runs its own copy of the benchmark, so the script refuses to run when
+the two copies differ in ``BENCHMARK.json`` or in any file under its
+``paths``: both sides must be judged by the same benchmark.
 
 Run from anywhere inside the repository:
 
@@ -24,7 +25,8 @@ entry per workload and end-to-end metric, holding each side's commit, values
 by pair, median, interquartile range, failed ops and machine state per run
 (as ``perfbench/run.py`` prints it), the change's wins, the bound, and whether
 every run was correct. The exit status is 1 if any run failed or reported
-``"correct": false``, and 2 if the two ``BENCHMARK.json`` differ.
+``"correct": false``, and 2, naming the first differing file, if the two
+benchmarks differ.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def copy_working_tree(root: Path, dest: Path) -> None:
             target = dest / name
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
+
+
+def _differs(a: Path, b: Path, name: str) -> bool:
+    return not ((a / name).is_file() and (b / name).is_file() and (a / name).read_bytes() == (b / name).read_bytes())
+
+
+def benchmark_difference(a: Path, b: Path) -> str | None:
+    """The first file, ``BENCHMARK.json`` or one under the paths it lists,
+    that differs between two trees or exists in one only; None if none."""
+    if _differs(a, b, "BENCHMARK.json"):
+        return "BENCHMARK.json"
+    names = set()
+    for path in json.loads((a / "BENCHMARK.json").read_text())["paths"]:
+        for tree in (a, b):
+            root = tree / path
+            files = [root] if root.is_file() else root.rglob("*")
+            names.update(f.relative_to(tree).as_posix() for f in files if f.is_file())
+    return next((name for name in sorted(names) if _differs(a, b, name)), None)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -121,9 +141,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--json", metavar="PATH", help="also write the record here, e.g. BENCH_<n>.json")
     args = parser.parse_args(argv)
-    if git(root, "show", f"{args.parent}:BENCHMARK.json") != (root / "BENCHMARK.json").read_bytes():
-        print(f"BENCHMARK.json differs between {args.parent} and the working tree", file=sys.stderr)
-        return 2
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     commits = {
         "parent": {"commit": git(root, "rev-parse", args.parent).decode().strip()},
@@ -136,6 +153,10 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         copy_ref(root, args.parent, trees["parent"])
         copy_working_tree(root, trees["change"])
+        differing = benchmark_difference(trees["parent"], trees["change"])
+        if differing is not None:
+            print(f"{differing} differs between {args.parent} and the working tree", file=sys.stderr)
+            return 2
         for workload in workloads:
             runs: dict[str, list[dict]] = {side: [] for side in trees}
             for k in range(args.pairs):
