@@ -393,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
-        # bad input, unwritable outputs and over-cap oracle instances
+        # bad input and unwritable outputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

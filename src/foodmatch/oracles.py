@@ -44,9 +44,6 @@ from .model import (
 )
 from .pool import split_into_meals
 
-MAX_ORACLE_DONORS = 5
-MAX_ORACLE_RECEIVERS = 5
-MAX_ORACLE_VOLUNTEERS = 3
 # a misreport lists an ordered subset of the other side's first this many agents
 MISREPORT_AGENTS = 4
 
@@ -125,7 +122,6 @@ class _OracleWorld:
     """
 
     def __init__(self, instance: Instance, produced: Sequence[Match]):
-        self.instance = instance
         self.thresholds = instance.thresholds
         self.raw_mode = instance.policy.preferences == "raw"
         self.gated_donors = gated(_meals(instance), instance.now, instance.thresholds)
@@ -144,6 +140,10 @@ class _OracleWorld:
                 # its own
                 self.vicinity[d.id] = default_vicinity(PERISHABILITY[d.food], None, self.thresholds)
                 self.volunteer[d.id] = None
+        self.eligible_agents = {
+            d.id: {r.id.agent_id for r in self.gated_receivers if self.pair_feasible(d, r)}
+            for d in self.gated_donors
+        }
 
     def pair_feasible(self, d: DonationRequest, r: RequirementRequest) -> bool:
         if PERISHABILITY[d.food] is not PERISHABILITY[r.food]:
@@ -172,10 +172,7 @@ class _OracleWorld:
                     return d.preferred_receivers.index(receiver_agent) + 1
                 return None
             return 1
-        eligible_agents = []
-        for r in self.gated_receivers:
-            if r.id.agent_id not in eligible_agents and self.pair_feasible(d, r):
-                eligible_agents.append(r.id.agent_id)
+        eligible_agents = self.eligible_agents[d.id]
         rank = 0
         ranks = {}
         for agent in d.preferred_receivers:
@@ -209,11 +206,6 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     receiver whose meals overshoot its requirement by more than the final
     meal.
     """
-    if len(instance.donors) > MAX_ORACLE_DONORS or len(instance.receivers) > MAX_ORACLE_RECEIVERS:
-        raise ValueError("instance too large for exhaustive enumeration")
-    if len(instance.vols) > MAX_ORACLE_VOLUNTEERS:
-        raise ValueError("instance too large for exhaustive enumeration")
-
     world = _OracleWorld(instance, produced)
     donors = world.gated_donors
     receivers = world.gated_receivers
@@ -471,9 +463,9 @@ def exhaustive_misreports(instance: Instance) -> MisreportReport:
 
 def random_instance(
     seed: int,
-    max_donors: int = MAX_ORACLE_DONORS,
-    max_receivers: int = MAX_ORACLE_RECEIVERS,
-    max_vols: int = MAX_ORACLE_VOLUNTEERS,
+    max_donors: int = 5,
+    max_receivers: int = 5,
+    max_vols: int = 3,
     thresholds: Optional[Thresholds] = None,
     policy: MatchPolicy = MatchPolicy(),
 ) -> Instance:

@@ -131,7 +131,8 @@ def requeue_rejected(
     Undoes the match's delivery: the volunteer gets its payload back and the
     receiver gets its requirement back. Requests listed in already_active
     (still live in the engine's carry lists) only have their amounts
-    restored, they are not enqueued twice.
+    restored, they are not enqueued twice. A receiver whose other meals
+    still cover its requirement is not enqueued at all.
     """
     if match.requeued:
         raise ValueError(f"illegal requeue: match of {match.donor} already requeued")
@@ -149,5 +150,5 @@ def requeue_rejected(
     if match.receiver is not None:
         receiver = pool.lookup(match.receiver)
         receiver.remaining_amount += match.delivered_amount
-        if match.receiver not in already_active:
+        if receiver.remaining_amount > 0 and match.receiver not in already_active:
             pool.readd(receiver)

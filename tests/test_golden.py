@@ -4,7 +4,8 @@ The matcher digests were recorded with a matcher that rescanned the whole
 market on every round of every receiver. Any rewrite of the class round must
 reproduce them exactly: they pin who is matched with whom, through which
 volunteer and with which reach, and which partners each agent saw as
-eligible, on instances far past the exhaustive oracles' 5/5/3 caps.
+eligible, on instances far larger than the oracles' random ones of at most
+5/5/3 agents.
 
 The analysis digests were recorded while the misreport probe and the fig8d
 manipulation experiment each kept their own scorer and fig8b and fig8c each
