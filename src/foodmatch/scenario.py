@@ -19,7 +19,9 @@ decodes the next, so it holds one record dict and about one chunk of text
 at a time; equal integers within one file share one int object. It validates
 every field, keeps every minute inside [0, working_end], accepts any JSON
 layout, and gives the same scenario and the same one-line errors as
-``scenario_from_dict(json.loads(text))``.
+``scenario_from_dict(json.loads(text))``: it stops at the first text or
+record it cannot take, and then parses the whole text, whose scenario or
+error it gives.
 """
 
 from __future__ import annotations
@@ -488,39 +490,6 @@ def _request_from_record(record) -> TimedRequest:
     return TimedRequest(submit_at=submit_at, request=request)
 
 
-class _RequestList:
-    """Requests built from their records one at a time.
-
-    The first bad record's error is held, not raised, until ``checked``
-    knows the config: syntax errors anywhere in the file and config errors
-    come first, and the window check needs ``working_end``, which a file may
-    give after its requests. The error still names the first bad record in
-    file order.
-    """
-
-    def __init__(self, records=()):
-        self.requests: list[TimedRequest] = []
-        self.error: Optional[str] = None
-        for record in records:
-            self.add(record)
-
-    def add(self, record) -> None:
-        if self.error is None:
-            try:
-                self.requests.append(_request_from_record(record))
-            except ValueError as exc:
-                self.error = f"request {len(self.requests)}: {exc}"
-
-    def checked(self, config: ScenarioConfig) -> list[TimedRequest]:
-        for index, timed in enumerate(self.requests):
-            end = timed.request.window.end
-            if end > config.working_end:
-                raise ValueError(f"request {index}: window ends at minute {end}, past working_end {config.working_end}")
-        if self.error is not None:
-            raise ValueError(self.error)
-        return self.requests
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
     # asdict recurses into the thresholds; the JSON encoder writes tuples as lists
     data = asdict(config)
@@ -574,11 +543,31 @@ def _scenario_chunks(scenario: Scenario) -> Iterator[str]:
     yield "]}"
 
 
-def _scenario(config, records) -> Scenario:
-    config = config_from_dict(config)
-    if not isinstance(records, _RequestList):
+def _scenario(payload) -> tuple[Scenario, dict]:
+    """The scenario of a parsed file and its other top-level values.
+
+    Config errors come first, so that each record's window can be checked
+    against ``working_end``; then the first bad record in file order is
+    named by its index. A record may be a dict or a request already built.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"scenario must be a JSON object, got {type(payload).__name__}")
+    values = dict(payload)
+    config = config_from_dict(values.pop("config", {}))
+    records = values.pop("requests", [])
+    if not isinstance(records, list):
         raise ValueError(f"requests must be a list, got {type(records).__name__}")
-    return Scenario(config=config, requests=records.checked(config))
+    requests: list[TimedRequest] = []
+    for record in records:
+        try:
+            timed = record if isinstance(record, TimedRequest) else _request_from_record(record)
+            end = timed.request.window.end
+            if end > config.working_end:
+                raise ValueError(f"window ends at minute {end}, past working_end {config.working_end}")
+        except ValueError as exc:
+            raise ValueError(f"request {len(requests)}: {exc}") from None
+        requests.append(timed)
+    return Scenario(config=config, requests=requests), values
 
 
 def scenario_from_dict(payload) -> Scenario:
@@ -587,12 +576,7 @@ def scenario_from_dict(payload) -> Scenario:
     Raises ValueError with a one-line message; a bad request record is named
     by its index in the "requests" list.
     """
-    if not isinstance(payload, dict):
-        raise ValueError(f"scenario must be a JSON object, got {type(payload).__name__}")
-    records = payload.get("requests", [])
-    if isinstance(records, list):
-        records = _RequestList(records)
-    return _scenario(payload.get("config", {}), records)
+    return _scenario(payload)[0]
 
 
 _CHUNK_CHARS = 1 << 16
@@ -678,7 +662,6 @@ class _JsonStream:
                 return value
 
 
-
 def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
     """Stream a scenario file: its scenario and its other top-level values
     (such as an instance file's "at").
@@ -695,21 +678,23 @@ def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
             for _ in stream.items("{", "}"):
                 key = stream.key()
                 if key == "requests" and stream.peek() == "[":
-                    records = values[key] = _RequestList()
+                    requests = values[key] = []
                     for _ in stream.items("[", "]"):
-                        records.add(stream.value())
+                        requests.append(_request_from_record(stream.value()))
                 else:
                     values[key] = stream.value()
             if stream.peek():
                 raise ValueError("extra data")
-        except ValueError:
-            # undecodable text: a whole-text parse names the error as it
-            # always has (by line and column, or by the file's byte offset),
-            # and a top level that is not an object by its type
-            scenario_from_dict(json.loads(path.read_text()))
-            raise
-    scenario = _scenario(values.pop("config", {}), values.pop("requests", _RequestList()))
-    return scenario, values
+        except (ValueError, RecursionError):
+            # a file the stream cannot take is parsed whole, and that parse
+            # decides: it names a syntax error by line and column, lets a
+            # later duplicate key mend a bad array, and puts config errors
+            # before record errors
+            try:
+                values = json.loads(path.read_text())
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
+    return _scenario(values)
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:

@@ -33,10 +33,18 @@ class TestGenerate:
         assert run_cli("generate", "--seed", "1", "--requests", "50", "--out", str(out), "--t-m", "500") == 0
         assert json.loads(out.read_text())["config"]["thresholds"]["t_m"] == 500
 
-    @pytest.mark.parametrize("mix", ["0.9,0.9,0.9", "inf,-inf,1", "nan,nan,nan", "inf,0,0"])
+    BAD_MIXES = {
+        "0.9,0.9,0.9": "infeasible scenario: mix fractions must sum to 1",
+        "inf,-inf,1": "infeasible scenario: mix fractions must sum to 1",
+        "nan,nan,nan": "infeasible scenario: mix fractions must sum to 1",
+        "inf,0,0": "infeasible scenario: mix fractions must sum to 1",
+        "0.5,0.5": "mix must have three comma-separated fractions",
+    }
+
+    @pytest.mark.parametrize("mix", list(BAD_MIXES))
     def test_bad_mix_exits_one(self, mix, tmp_path, capsys):
         assert run_cli("generate", "--mix", mix, "--requests", "20", "--out", str(tmp_path / "x.json")) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: infeasible scenario: mix fractions must sum to 1"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {self.BAD_MIXES[mix]}"]
         assert not (tmp_path / "x.json").exists()
 
     def test_unknown_flag_exits_one(self, tmp_path):
@@ -114,8 +122,11 @@ class TestExperiments:
         ("receiver_span", [-10, 5], "receiver_span range [-10, 5]"),
         ("receiver_amount_min", 5000, "receiver amount range [5000, 4000]"),
         ("working_start", -300, "working hours"),
+        ("city_width", 0, "empty city"),
+        ("n_donors", 5, "explicit counts must set all three roles"),
+        ("n_requests", -10, "negative role count"),
     ], ids=["no-food", "no-lengths", "negative-length", "short-lead", "reversed-lead", "negative-span",
-            "reversed-amounts", "negative-start"])
+            "reversed-amounts", "negative-start", "empty-city", "one-explicit-count", "negative-requests"])
     def test_unusable_generator_config_exits_one(self, which, key, value, message, small_scenario, tmp_path, capsys):
         payload = json.loads(small_scenario.read_text())
         payload["config"][key] = value
@@ -263,6 +274,16 @@ class TestSettingFlags:
             assert len(err) == 1 and err[0].startswith("error: threshold t_l must be positive and finite"), err
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--reject-prob", "1.5"), "rejection_probability out of range"),
+        (("--no-response-prob", "-0.1"), "no_response_probability out of range"),
+        (("--reject-prob", "0.6", "--no-response-prob", "0.6"), "decision probabilities exceed 1"),
+    ], ids=["reject-above-one", "no-response-below-zero", "sum-above-one"])
+    def test_decision_probability_outside_range_exits_one(self, flags, message, small_scenario, tmp_path, capsys):
+        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), *flags) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_float_threshold_takes_a_fraction(self, small_scenario, tmp_path):
         assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), "--t-l", "7.5") == 0
 
@@ -298,6 +319,17 @@ def _valid_record(**changes):
     return record
 
 
+def _valid_volunteer(**changes):
+    record = {"type": "volunteer", "agent_id": 3, "submit_at": 0, "window": [600, 900],
+              "route": [[0, 0], [5, 5]], "motored": True, "ac": False, "payload": 5000}
+    record.update(changes)
+    return record
+
+
+def _requests(*records, **top_level):
+    return json.dumps(dict(top_level, requests=list(records)))
+
+
 MALFORMED = {
     "top_level_array": ("[]", "JSON object"),
     "unknown_config_key": (json.dumps({"config": {"bogus": 1}, "requests": [_valid_record()]}), "bogus"),
@@ -325,6 +357,20 @@ MALFORMED = {
         json.dumps({"requests": [_valid_record(), _valid_record(
             type="requirement", agent_id=2, window=[760, 800], preferred=[5, 7, 5])]}),
         "request 1: duplicate entries in preferred donors",
+    ),
+    "three_number_location": (_requests(_valid_record(location=[1, 2, 3])), "request 0: location must be a list of 2 numbers"),
+    "string_location": (_requests(_valid_record(location="here")), "request 0: location must be a list of 2 numbers"),
+    "number_packaging": (_requests(_valid_record(packaging=5)), "request 0: packaging must be a str"),
+    "string_motored": (_requests(_valid_volunteer(motored="yes")), "request 0: motored must be a bool"),
+    "string_route": (_requests(_valid_volunteer(route="a-b")), "request 0: route must be a list"),
+    "three_point_route": (_requests(_valid_volunteer(route=[[0, 0], [1, 1], [2, 2]])), "request 0: route must hold 2 locations"),
+    "config_not_an_object": (_requests(_valid_record(), config=[1]), "config must be an object"),
+    "thresholds_not_an_object": (_requests(_valid_record(), config={"thresholds": 5}), "config.thresholds must be an object"),
+    "food_types_not_a_list": (_requests(_valid_record(), config={"food_types": "mixed"}), "must be a list of food types"),
+    "zero_payload": (_requests(_valid_volunteer(payload=0)), "request 0: invalid payload capacity"),
+    "zero_requirement_amount": (
+        _requests(_valid_record(type="requirement", amount=0)),
+        "request 0: invalid amount",
     ),
 }
 
@@ -359,6 +405,24 @@ class TestMalformedInput:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and expected in err[0], err
+
+    @pytest.mark.parametrize("depth", [1000, 200_000])
+    @pytest.mark.parametrize("where", ["requests", "config"])
+    def test_deeply_nested_file_exits_one(self, where, depth, tmp_path, capsys):
+        # too deep for json.loads, which raises RecursionError
+        nested = "[" * depth + "]" * depth
+        path = tmp_path / "deep.json"
+        if where == "requests":
+            path.write_text('{"requests": [%s]}' % nested)
+        else:
+            path.write_text('{"config": {"donor_lead": %s}, "requests": []}' % nested)
+        for argv in (
+            ("run", "--scenario", str(path), "--out", str(tmp_path / "out")),
+            ("oracle", "pareto", "--instance", str(path)),
+        ):
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err.splitlines() == ["error: JSON nested too deeply"]
+        assert not (tmp_path / "out").exists()
 
     def test_string_threshold_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -91,6 +91,9 @@ class TestDropoffBand:
     def test_route_start_inside(self):
         assert within_dropoff_band(Location(0, 0), *self.route, 5.0)
 
+    def test_degenerate_route(self):
+        assert not within_dropoff_band(Location(1, 1), Location(1, 1), Location(1, 1), 5.0)
+
     @given(points, st.floats(min_value=0.5, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))
     def test_monotone_in_allowance(self, receiver, t_l, extra):
         if within_dropoff_band(receiver, *self.route, t_l):

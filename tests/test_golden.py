@@ -237,3 +237,12 @@ def test_scenario_file_bytes(which, tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIO_FILE_DIGESTS[which]
+
+
+@pytest.mark.parametrize("preset, requests", [("corridor", 400), ("deadlines", 600)])
+def test_generate_preset_file_bytes(preset, requests, tmp_path, monkeypatch):
+    """`generate --preset` writes the desk cities the benchmark reads."""
+    monkeypatch.delenv("FDRM_SEED", raising=False)
+    path = tmp_path / "scenario.json"
+    assert main(["generate", "--preset", preset, "--requests", str(requests), "--seed", "4", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIO_FILE_DIGESTS[f"{preset}-4"]

@@ -99,6 +99,18 @@ class TestSplitting:
             submit_request(donation(amount=second), pool, TH)
         assert [r.id for r in pool.drain()] == stored
 
+    def test_registered_piece_id_rejected(self):
+        """A submission holding a registered piece id is refused whole."""
+        pool = ActivePool()
+        stored = pool.submit([requirement()], RequestId(50, 1))
+        with pytest.raises(ValueError, match=r"^duplicate request 50\.1$"):
+            pool.submit([volunteer(), requirement()], RequestId(91, 1))
+        assert [r.id for r in pool.drain()] == stored
+
+    def test_unclassifiable_request_rejected(self):
+        with pytest.raises(TypeError, match="^unclassifiable request type Location$"):
+            submit_request(Location(1, 1), ActivePool(), TH)
+
     def test_invalid_amount_rejected(self):
         with pytest.raises(ValueError, match="invalid amount"):
             submit_request(donation(amount=-5), ActivePool(), TH)
