@@ -144,7 +144,6 @@ def build_parser() -> _Parser:
 
     gamma = sub.add_parser("check-gamma", help="verify the off-routing bound on a full run")
     gamma.add_argument("--scenario", required=True)
-    gamma.add_argument("--seed", type=int, default=0)
     gamma.add_argument("--tick", type=int, default=TICK_MINUTES)
     _add_threshold_flags(gamma)
 
@@ -360,11 +359,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check_gamma(args) -> int:
     scenario = _load_scenario_with_overrides(args)
-    report = run_simulation(
-        scenario,
-        acceptance=AcceptanceModel(seed=_effective_seed(args)),
-        tick_minutes=args.tick,
-    )
+    report = run_simulation(scenario, tick_minutes=args.tick)
     bad = gamma_violations(report.deliveries, scenario.config.thresholds)
     bound = 4.0 * scenario.config.thresholds.t_l
     worst = max((d.overhead_pct for d in report.deliveries), default=0.0)
@@ -392,8 +387,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        # bad input and unwritable outputs
+    except (ValueError, OverflowError, OSError) as exc:
+        # bad input, integers too large to use, and unwritable outputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

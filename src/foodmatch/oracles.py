@@ -165,13 +165,11 @@ class _OracleWorld:
                 return False
         return True
 
-    def donor_position(self, d: DonationRequest, receiver_agent: int) -> Optional[int]:
+    def donor_position(self, d: DonationRequest, receiver_agent: int) -> int:
+        """The receiver's position for the donor, asked only of feasible
+        pairs: a raw list names the receiver, and an eligible one has it."""
         if self.raw_mode:
-            if d.preferred_receivers:
-                if receiver_agent in d.preferred_receivers:
-                    return d.preferred_receivers.index(receiver_agent) + 1
-                return None
-            return 1
+            return d.preferred_receivers.index(receiver_agent) + 1 if d.preferred_receivers else 1
         eligible_agents = self.eligible_agents[d.id]
         rank = 0
         ranks = {}
@@ -179,11 +177,7 @@ class _OracleWorld:
             if agent in eligible_agents and agent not in ranks:
                 rank += 1
                 ranks[agent] = rank
-        if receiver_agent in ranks:
-            return ranks[receiver_agent]
-        if receiver_agent in eligible_agents:
-            return rank + 1
-        return None
+        return ranks.get(receiver_agent, rank + 1)
 
 
 def _receiver_load_feasible(amount: int, meals: Sequence[int]) -> bool:
@@ -215,8 +209,8 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     matched_donor_ids = set(produced_pairs)
 
     # feasibility: the checks below compare against alternatives under the
-    # same predicates, so every produced pair must itself satisfy them (a
-    # feasible pair between gated requests always has a donor position)
+    # same predicates, so every produced pair must itself satisfy them (and
+    # only feasible pairs are given a donor position)
     for m in produced:
         if m.receiver is None:
             continue
@@ -240,8 +234,6 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
             continue
         for r in receivers:
             if not world.pair_feasible(d, r):
-                continue
-            if world.donor_position(d, r.id.agent_id) is None:
                 continue
             if load[r.id] < r.amount:
                 better = dict(produced_pairs)
@@ -267,8 +259,6 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
             if not world.pair_feasible(d, receiver):
                 continue
             position = world.donor_position(d, receiver.id.agent_id)
-            if position is None:
-                continue
             if position < matched_position:
                 better = dict(produced_pairs)
                 del better[donor_id]

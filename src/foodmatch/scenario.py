@@ -13,15 +13,14 @@ written on one line with sorted keys; request records carry a "type"
 discriminator, integer-minute times, [x, y] kilometer locations, and gram
 amounts. The writer streams the file one request record at a time, so the
 records of a whole city never exist as dicts or as one string at once. The
-reader streams too: it reads the file in fixed-size text chunks and decodes
-the "requests" array one record at a time, building each request before it
-decodes the next, so it holds one record dict and about one chunk of text
-at a time; equal integers within one file share one int object. It validates
-every field, keeps every minute inside [0, working_end], accepts any JSON
-layout, and gives the same scenario and the same one-line errors as
-``scenario_from_dict(json.loads(text))``: it stops at the first text or
-record it cannot take, and then parses the whole text, whose scenario or
-error it gives.
+reader gives the same scenario and the same one-line errors as
+``scenario_from_dict(json.loads(text))``, and validates every field and keeps
+every minute inside [0, working_end]. A file in the writer's layout, with
+any whitespace between its tokens, is streamed: read in fixed-size text
+chunks, with each record of the "requests" array built into a request before
+the next is decoded, so the reader holds one record dict and about one chunk
+of text at a time, and equal integers within one file share one int object.
+Every other file, and any the stream cannot decode, is parsed whole.
 """
 
 from __future__ import annotations
@@ -593,7 +592,8 @@ class _SharedInts(dict):
 
 
 class _JsonStream:
-    """JSON text read in fixed-size chunks and decoded one value at a time.
+    """JSON text read in fixed-size chunks and decoded one token or value at
+    a time.
 
     Only the text not yet decoded is held, so an error raised here cannot
     say where in the file it lies.
@@ -610,44 +610,22 @@ class _JsonStream:
         self._pos = 0
         return bool(chunk)
 
-    def peek(self) -> str:
-        """The next non-whitespace character, or "" at the end of the file."""
+    def take(self, token: str) -> bool:
+        """Consume ``token`` if it comes next after any whitespace. The empty
+        token comes next only at the end of the file."""
+        size = max(len(token), 1)
         while True:
             self._pos = _WHITESPACE.match(self._text, self._pos).end()
-            if self._pos < len(self._text) or not self._read_more():
-                return self._text[self._pos:self._pos + 1]
-
-    def take(self, allowed: str) -> str:
-        """Consume the next non-whitespace character, one of ``allowed``."""
-        char = self.peek()
-        if not char or char not in allowed:
-            raise ValueError(f"expecting one of {allowed!r}")
-        self._pos += 1
-        return char
-
-    def items(self, opening: str, closing: str) -> Iterator[None]:
-        """Step through the array or object that starts here: yields once
-        at each item, which the caller consumes before resuming."""
-        self.take(opening)
-        if self.peek() == closing:
-            self._pos += 1
-            return
-        while True:
-            yield
-            if self.take("," + closing) == closing:
-                return
-
-    def key(self) -> str:
-        """Consume an object key and its colon."""
-        if self.peek() != '"':
-            raise ValueError("expecting a property name")
-        key = self.value()
-        self.take(":")
-        return key
+            if len(self._text) - self._pos >= size or not self._read_more():
+                break
+        if self._text[self._pos:self._pos + size] != token:
+            return False
+        self._pos += len(token)
+        return True
 
     def value(self):
         """Decode the next JSON value."""
-        self.peek()  # past the whitespace, which raw_decode does not skip
+        self.take("")  # past the whitespace, which raw_decode does not skip
         while True:
             try:
                 value, end = self._decoder.raw_decode(self._text, self._pos)
@@ -663,33 +641,35 @@ class _JsonStream:
 
 
 def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
-    """Stream a scenario file: its scenario and its other top-level values
+    """Read a scenario file: its scenario and its other top-level values
     (such as an instance file's "at").
 
     The result and the errors are those of
-    ``scenario_from_dict(json.loads(text))``, and the last of duplicate keys
-    wins, but each request is built as soon as its record is decoded.
+    ``scenario_from_dict(json.loads(text))``. A file laid out as the writer
+    writes it, ``{"config": ..., "requests": [...]}`` with any whitespace
+    between the tokens, is streamed: each request is built as soon as its
+    record is decoded. Any other file is parsed whole.
     """
     path = Path(path)
-    values: dict = {}
     with path.open() as file:
         stream = _JsonStream(file)
+
+        def expect(*tokens: str) -> None:
+            if not all(map(stream.take, tokens)):
+                raise ValueError("not the writer's layout")
+
         try:
-            for _ in stream.items("{", "}"):
-                key = stream.key()
-                if key == "requests" and stream.peek() == "[":
-                    requests = values[key] = []
-                    for _ in stream.items("[", "]"):
-                        requests.append(_request_from_record(stream.value()))
-                else:
-                    values[key] = stream.value()
-            if stream.peek():
-                raise ValueError("extra data")
+            expect("{", '"config"', ":")
+            values = {"config": stream.value()}
+            expect(",", '"requests"', ":", "[")
+            requests = values["requests"] = [_request_from_record(stream.value())]
+            while stream.take(","):
+                requests.append(_request_from_record(stream.value()))
+            expect("]", "}", "")
         except (ValueError, RecursionError):
-            # a file the stream cannot take is parsed whole, and that parse
-            # decides: it names a syntax error by line and column, lets a
-            # later duplicate key mend a bad array, and puts config errors
-            # before record errors
+            # the whole-text parse decides: it names a syntax error by line
+            # and column, lets the last of duplicate keys win, and puts
+            # config errors before record errors
             try:
                 values = json.loads(path.read_text())
             except RecursionError:

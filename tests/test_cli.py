@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+from foodmatch import cli
 from foodmatch.cli import load_instance, main
-from foodmatch.scenario import Scenario, load_scenario, save_scenario
+from foodmatch.model import Match, RequestId
+from foodmatch.oracles import sized_instance
+from foodmatch.scenario import Scenario, TimedRequest, _request_to_record, load_scenario, save_scenario
 
 
 def run_cli(*argv):
@@ -197,6 +200,32 @@ class TestOracleCommands:
         path.write_text(json.dumps(instance))
         assert run_cli("oracle", "strategyproof", "--instance", str(path)) == 0
         assert "hard violations" in capsys.readouterr().out
+
+    def test_strategyproof_prints_each_hard_violation(self, tmp_path, capsys):
+        instance = sized_instance(194878866301001, 4, 4, 2)
+        records = [_request_to_record(TimedRequest(0, r)) for r in instance.donors + instance.receivers + instance.vols]
+        path = tmp_path / "sized.json"
+        path.write_text(json.dumps({"at": 600, "requests": records}))
+        assert run_cli("oracle", "strategyproof", "--instance", str(path)) == 2
+        gains = [(202, 204), (204, 202), (201, 202, 204), (201, 204, 202), (202, 201, 204), (202, 204, 201),
+                 (204, 201, 202), (204, 202, 201), (202, 204, 203), (204, 202, 203), (201, 202, 204, 203),
+                 (201, 204, 202, 203), (202, 201, 204, 203), (202, 204, 201, 203), (202, 204, 203, 201),
+                 (204, 201, 202, 203), (204, 202, 201, 203), (204, 202, 203, 201)]
+        assert capsys.readouterr().out.splitlines() == [
+            "misreports: 512 cases, 18 improvements, 0 availability exceptions, 18 hard violations",
+            *(f"  agent 104 (donor) gained 1 via {misreport}: rank 2 -> 1" for misreport in gains),
+        ]
+
+    def test_pareto_prints_the_violation(self, tmp_path, monkeypatch, capsys):
+        # a produced pair naming a receiver the instance does not have
+        path = tmp_path / "tiny.json"
+        path.write_text(_requests(_valid_record()))
+        produced = [Match(RequestId(1, 1), None, RequestId(9, 1), 5.0, 1000)]
+        monkeypatch.setattr(cli, "run_instance", lambda instance: (produced, None))
+        assert run_cli("oracle", "pareto", "--instance", str(path)) == 2
+        assert capsys.readouterr().out == (
+            "violation: produced pair is infeasible :: {'donor': '1.1', 'receiver': '9.1'}\n"
+        )
 
     def test_missing_instance_exits_one(self, tmp_path):
         assert run_cli("oracle", "pareto", "--instance", str(tmp_path / "nope.json")) == 1
@@ -423,6 +452,28 @@ class TestMalformedInput:
             assert run_cli(*argv) == 1
             assert capsys.readouterr().err.splitlines() == ["error: JSON nested too deeply"]
         assert not (tmp_path / "out").exists()
+
+    # a file's integers are unbounded; these are too large to use, and fail at once
+    @pytest.mark.parametrize("command, message", [
+        (["run"], "cannot fit 'int' into an index-sized integer"),
+        (["oracle", "pareto"], "cannot fit 'int' into an index-sized integer"),
+        (["experiment", "fig8a"], "int too large to convert to float"),
+        (["experiment", "fig8b", "--seeds", "1"], "int too large to convert to float"),
+    ], ids=["run-amount", "pareto-amount", "fig8a-n-requests", "fig8b-n-requests"])
+    def test_integer_too_large_exits_one(self, command, message, small_scenario, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        if command[0] == "experiment":
+            payload = json.loads(small_scenario.read_text())
+            payload["config"]["n_requests"] = 10 ** 400
+            path.write_text(json.dumps(payload))
+        else:
+            path.write_text(_requests(_valid_record(amount=10 ** 400)))
+        out = tmp_path / "out"
+        argv = [*command, "--instance", str(path)] if command[0] == "oracle" else [
+            *command, "--scenario", str(path), "--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists() or not any(out.iterdir())
 
     def test_string_threshold_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

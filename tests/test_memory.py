@@ -5,6 +5,7 @@ tracemalloc on a 5,000-request city."""
 
 import copy
 import gc
+import json
 import tracemalloc
 import types
 
@@ -34,9 +35,13 @@ def transient(call):
     return result, peak - current
 
 
-def test_load_holds_one_record_at_a_time(city, tmp_path):
+# the writer's file, and the copy that json.tool-style reindenting makes
+@pytest.mark.parametrize("indent", [None, 2])
+def test_load_holds_one_record_at_a_time(city, indent, tmp_path):
     path = tmp_path / "city.json"
     save_scenario(city, path)
+    if indent is not None:
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
     loaded, extra = transient(lambda: load_scenario(path))
     assert len(loaded.requests) == 5000
     assert extra < 1.5 * MB, f"loading held {extra / MB:.2f} MB beyond the scenario"

@@ -220,6 +220,10 @@ def _whole_text(path):
     return scenario, {k: v for k, v in payload.items() if k not in ("config", "requests")}
 
 
+class _WholeTextParsed(Exception):
+    """Raised in place of the whole-text parse."""
+
+
 class TestStreamingReader:
     """read_scenario decodes one request record at a time; it must give what
     a whole-text parse gives, including the one-line error."""
@@ -239,6 +243,29 @@ class TestStreamingReader:
         path.write_bytes(LAYOUTS["short_day_after_requests"])
         with pytest.raises(ValueError, match=r"^request [0-3]: window ends at minute \d+, past working_end"):
             read_scenario(path)
+
+    @pytest.mark.parametrize("layout, streams", [
+        ("one_line", True),
+        ("indented", True),
+        ("tabs_and_crlf", True),
+        ("spaced_separators", True),
+        ("config_after_requests", False),
+    ])
+    def test_only_the_writer_layout_streams(self, layout, streams, tmp_path, monkeypatch):
+        # the writer's tokens with any whitespace stream; other files are parsed whole
+        path = tmp_path / "scenario.json"
+        path.write_bytes(LAYOUTS[layout])
+        expected = _whole_text(path)
+
+        def whole_text_parse(text):
+            raise _WholeTextParsed
+
+        monkeypatch.setattr(scenario_module.json, "loads", whole_text_parse)
+        if streams:
+            assert read_scenario(path) == expected
+        else:
+            with pytest.raises(_WholeTextParsed):
+                read_scenario(path)
 
     def test_equal_integers_share_one_object(self, tmp_path):
         path = tmp_path / "scenario.json"
