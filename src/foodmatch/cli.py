@@ -3,7 +3,7 @@
 Subcommands: generate, run, experiment {fig8a,fig8b,fig8c,fig8d},
 oracle {pareto,strategyproof}, check-gamma. Exit codes: 0 success,
 1 usage or validation error, 2 a declared property was violated.
-The FDRM_SEED environment variable overrides --seed everywhere.
+The FDRM_SEED environment variable overrides --seed wherever a command has one.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="generate a scenario file")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--requests", type=int, default=5000)
-    gen.add_argument("--mix", default="0.3,0.4,0.3", help="donor,receiver,volunteer fractions")
+    gen.add_argument("--mix", help="donor,receiver,volunteer fractions of the uniform city (default 0.3,0.4,0.3)")
     gen.add_argument(
         "--preset",
         choices=("uniform", "corridor", "deadlines"),
@@ -128,15 +128,21 @@ def build_parser() -> _Parser:
     _add_threshold_flags(run)
 
     exp = sub.add_parser("experiment", help="reproduce one simulation experiment")
-    exp.add_argument("which", choices=("fig8a", "fig8b", "fig8c", "fig8d"))
-    exp.add_argument("--scenario", required=True)
-    exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--multiples", default="0.25,0.5,1,2,4")
-    exp.add_argument("--seeds", type=int, default=20)
-    exp.add_argument("--fraction", type=float, default=20.0)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--tick", type=int, default=TICK_MINUTES)
-    _add_threshold_flags(exp)
+    figures = exp.add_subparsers(dest="which", required=True)
+    for which in ("fig8a", "fig8b", "fig8c", "fig8d"):
+        # each figure takes only the flags it reads
+        fig = figures.add_parser(which)
+        fig.add_argument("--scenario", required=True)
+        fig.add_argument("--out", required=True, help="output directory")
+        fig.add_argument("--tick", type=int, default=TICK_MINUTES)
+        _add_threshold_flags(fig)
+        if which == "fig8a":
+            fig.add_argument("--multiples", default="0.25,0.5,1,2,4")
+        elif which == "fig8d":
+            fig.add_argument("--fraction", type=float, default=20.0)
+        else:
+            fig.add_argument("--seeds", type=int, default=20)
+            fig.add_argument("--seed", type=int, default=0)
 
     oracle = sub.add_parser("oracle", help="run a brute-force property check")
     oracle.add_argument("which", choices=("pareto", "strategyproof"))
@@ -156,22 +162,21 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    fractions = tuple(float(f) for f in args.mix.split(","))
-    if len(fractions) != 3:
-        raise ValueError("mix must have three comma-separated fractions")
+    if args.mix is not None and args.preset != "uniform":
+        raise ValueError(f"--mix applies only to the uniform city, not --preset {args.preset}")
     seed = _effective_seed(args)
     if args.preset == "corridor":
         config = desk_volunteer_sweep_config(seed=seed, n_requests=args.requests)
     elif args.preset == "deadlines":
         config = desk_policy_config(seed=seed, n_requests=args.requests)
     else:
-        config = ScenarioConfig(
-            n_requests=args.requests,
-            donor_fraction=fractions[0],
-            receiver_fraction=fractions[1],
-            volunteer_fraction=fractions[2],
-            seed=seed,
-        )
+        config = ScenarioConfig(n_requests=args.requests, seed=seed)
+        if args.mix is not None:
+            fractions = tuple(float(f) for f in args.mix.split(","))
+            if len(fractions) != 3:
+                raise ValueError("mix must have three comma-separated fractions")
+            config = replace(config, donor_fraction=fractions[0], receiver_fraction=fractions[1],
+                             volunteer_fraction=fractions[2])
     config = replace(config, thresholds=_thresholds_from_args(args, config.thresholds))
     scenario = generate_scenario(config)
     save_scenario(scenario, args.out)
@@ -252,10 +257,9 @@ def _write_figure(out: Path, name: str, header: Sequence[str], rows: Sequence[Se
 def _cmd_experiment(args) -> int:
     scenario = _load_scenario_with_overrides(args)
     config = scenario.config
-    seed = _effective_seed(args)
     # before any scenario is built, and when --seeds 0 runs nothing
     check_tick(args.tick)
-    if args.seeds < 0:
+    if args.which in PAIRED_EXPERIMENTS and args.seeds < 0:
         raise ValueError("seeds must not be negative")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,6 +295,7 @@ def _cmd_experiment(args) -> int:
 
     name = args.which
     (baseline, variant), labels, title = PAIRED_EXPERIMENTS[name]
+    seed = _effective_seed(args)
     rows = experiment_paired_policies(config, range(seed, seed + args.seeds), baseline, variant,
                                       tick_minutes=args.tick)
     _write_figure(
@@ -380,9 +385,9 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser is garbage before the command runs, not held through it
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

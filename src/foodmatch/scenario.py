@@ -8,19 +8,19 @@ sites and end near requirement sites: agents of the model volunteer along
 the errands they already run, which is what makes the tight pickup radius
 (a percentage of the route length) operative at all.
 
-The file format is a single JSON object with "config" and "requests" keys,
-written on one line with sorted keys; request records carry a "type"
-discriminator, integer-minute times, [x, y] kilometer locations, and gram
-amounts. The writer streams the file one request record at a time, so the
-records of a whole city never exist as dicts or as one string at once. The
-reader gives the same scenario and the same one-line errors as
-``scenario_from_dict(json.loads(text))``, and validates every field and keeps
-every minute inside [0, working_end]. A file in the writer's layout, with
-any whitespace between its tokens, is streamed: read in fixed-size text
-chunks, with each record of the "requests" array built into a request before
-the next is decoded, so the reader holds one record dict and about one chunk
-of text at a time, and equal integers within one file share one int object.
-Every other file, and any the stream cannot decode, is parsed whole.
+The file format is a single JSON object with "config" and "requests" keys
+(and, in an oracle instance file, "at"), written on one line with sorted
+keys. A request record carries a "type" discriminator and the fields of its
+request class, under the class's field names except for a few renames, as
+integer minutes, [x, y] kilometer locations and gram amounts; one plan per
+class, built from its dataclass fields, both writes and reads them. The
+writer streams the file one record at a time. The reader gives the same
+scenario and one-line errors as ``scenario_from_dict(json.loads(text))``,
+validates every field, keeps every minute inside [0, working_end], and
+refuses unknown keys. A file in the writer's layout, with any whitespace
+between its tokens, is streamed: read in fixed-size text chunks, each record
+built into a request before the next is decoded, and equal integers within
+one file share one int object. Every other file is parsed whole.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Iterator, Optional, Union
 
@@ -347,43 +347,45 @@ def with_volunteer_count(config: ScenarioConfig, n_volunteers: int) -> ScenarioC
 # ---------------------------------------------------------------------------
 
 
+# Each request type's record plan: its "type" name, and for every init field
+# besides id, arrival, window and route_end, in declaration order, (field
+# name, record key, kind, default), where a MISSING default makes the key
+# required. Every record also carries agent_id, request_seq, submit_at and
+# window.
+_RECORD_TYPES = {"donation": DonationRequest, "requirement": RequirementRequest, "volunteer": VolunteerRequest}
+# record keys that are not their field's name; "route" holds both route ends
+_RENAMED = {"preferred_receivers": "preferred", "preferred_donors": "preferred",
+            "payload_capacity": "payload", "route_start": "route"}
+_KINDS = {"int": int, "str": str, "bool": bool, "Location": Location, "FoodType": FoodType, "tuple[int, ...]": tuple}
+_PLANS = {
+    cls: (type_name, tuple(
+        (f.name, _RENAMED.get(f.name, f.name), _KINDS[f.type], f.default)
+        for f in fields(cls) if f.init and f.name not in ("id", "arrival", "window", "route_end")
+    ))
+    for type_name, cls in _RECORD_TYPES.items()
+}
+
+
 def _request_to_record(timed: TimedRequest) -> dict:
     r = timed.request
-    base = {
+    type_name, plan = _PLANS[type(r)]
+    record = {
         "agent_id": r.id.agent_id,
         "request_seq": r.id.request_seq,
         "submit_at": timed.submit_at,
         "window": [r.window.start, r.window.end],
+        "type": type_name,
     }
-    if isinstance(r, DonationRequest):
-        base.update(
-            type="donation",
-            location=[r.location.x, r.location.y],
-            food=r.food.value,
-            amount=r.amount,
-            packaging=r.packaging,
-            prep_or_expiry=r.prep_or_expiry,
-            image_ref=r.image_ref,
-            preferred=list(r.preferred_receivers),
-        )
-    elif isinstance(r, RequirementRequest):
-        base.update(
-            type="requirement",
-            location=[r.location.x, r.location.y],
-            food=r.food.value,
-            amount=r.amount,
-            preferred=list(r.preferred_donors),
-        )
-    else:
-        base.update(
-            type="volunteer",
-            route=[[r.route_start.x, r.route_start.y], [r.route_end.x, r.route_end.y]],
-            motored=r.motored,
-            ac=r.ac,
-            payload=r.payload_capacity,
-            receivers=list(r.receivers),
-        )
-    return base
+    for name, key, kind, _ in plan:
+        value = getattr(r, name)
+        if key == "route":
+            value = [[value.x, value.y], [r.route_end.x, r.route_end.y]]
+        elif kind is Location:
+            value = [value.x, value.y]
+        elif kind is FoodType:
+            value = value.value
+        record[key] = value
+    return record
 
 
 def finite_number(value, name: str, integral: bool = False):
@@ -409,14 +411,11 @@ def _numbers(value, name: str, length: Optional[int] = None, integral: bool = Fa
     return tuple(value)
 
 
-_REQUIRED = object()
-
-
-def _get(record: dict, name: str, kind, default=_REQUIRED):
-    """Take one field out of a request record as an int, str, bool, list of
-    ints, [x, y] location or [start, end] window."""
+def _get(record: dict, name: str, kind, default=MISSING):
+    """Take one field out of a request record as an int, str, bool, food
+    type, tuple of ints, [x, y] location or [start, end] window."""
     if name not in record:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ValueError(f"missing field {name!r}")
         return default
     value = record.pop(name)
@@ -428,9 +427,11 @@ def _get(record: dict, name: str, kind, default=_REQUIRED):
         return Location(*_numbers(value, name, 2))
     if kind is TimeWindow:
         return TimeWindow(*_numbers(value, name, 2, integral=True))
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-    return value
+    # a food type is written as its str value
+    expected = str if kind is FoodType else kind
+    if not isinstance(value, expected):
+        raise ValueError(f"{name} must be a {expected.__name__}, got {value!r}")
+    return FoodType(value) if kind is FoodType else value
 
 
 def _request_from_record(record) -> TimedRequest:
@@ -440,47 +441,23 @@ def _request_from_record(record) -> TimedRequest:
     record = dict(record)
     rid = RequestId(_get(record, "agent_id", int), _get(record, "request_seq", int, 1))
     window = _get(record, "window", TimeWindow)
-    kind = _get(record, "type", str)
-    if kind == "donation":
-        request: Request = DonationRequest(
-            id=rid,
-            arrival=-1,
-            location=_get(record, "location", Location),
-            food=FoodType(_get(record, "food", str)),
-            amount=_get(record, "amount", int),
-            window=window,
-            packaging=_get(record, "packaging", str, ""),
-            prep_or_expiry=_get(record, "prep_or_expiry", int, 0),
-            image_ref=_get(record, "image_ref", str, ""),
-            preferred_receivers=_get(record, "preferred", tuple, ()),
-        )
-    elif kind == "requirement":
-        request = RequirementRequest(
-            id=rid,
-            arrival=-1,
-            location=_get(record, "location", Location),
-            food=FoodType(_get(record, "food", str)),
-            amount=_get(record, "amount", int),
-            window=window,
-            preferred_donors=_get(record, "preferred", tuple, ()),
-        )
-    elif kind == "volunteer":
-        route = _get(record, "route", list)
-        if len(route) != 2:
-            raise ValueError(f"route must hold 2 locations, got {route!r}")
-        request = VolunteerRequest(
-            id=rid,
-            arrival=-1,
-            route_start=Location(*_numbers(route[0], "route", 2)),
-            route_end=Location(*_numbers(route[1], "route", 2)),
-            motored=_get(record, "motored", bool),
-            ac=_get(record, "ac", bool),
-            payload_capacity=_get(record, "payload", int),
-            window=window,
-            receivers=_get(record, "receivers", tuple, ()),
-        )
-    else:
-        raise ValueError(f"unknown request type {kind!r}")
+    type_name = _get(record, "type", str)
+    cls = _RECORD_TYPES.get(type_name)
+    if cls is None:
+        raise ValueError(f"unknown request type {type_name!r}")
+    # the class's init arguments in declaration order, id and arrival first
+    args = [rid, -1]
+    for _, key, kind, default in _PLANS[cls][1]:
+        if key == "route":
+            route = _get(record, "route", list)
+            if len(route) != 2:
+                raise ValueError(f"route must hold 2 locations, got {route!r}")
+            # route_end is declared right after route_start
+            args += [Location(*_numbers(end, "route", 2)) for end in route]
+        else:
+            args.append(_get(record, key, kind, default))
+    args.insert(cls.__match_args__.index("window"), window)
+    request = cls(*args)
     submit_at = _get(record, "submit_at", int)
     if record:
         raise ValueError(f"unknown keys {sorted(record)}")
@@ -496,23 +473,23 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
-def _check_keys(data, cls, where: str) -> None:
+def _check_keys(data, known, where: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    unknown = sorted(set(data).difference(known))
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}")
 
 
 def config_from_dict(data) -> ScenarioConfig:
-    _check_keys(data, ScenarioConfig, "config")
+    _check_keys(data, ScenarioConfig.__match_args__, "config")
     defaults = ScenarioConfig()
     values = {}
     for name, value in data.items():
         default = getattr(defaults, name)
         where = f"config.{name}"
         if name == "thresholds":
-            _check_keys(value, Thresholds, where)
+            _check_keys(value, Thresholds.__match_args__, where)
             values[name] = Thresholds(**{
                 k: finite_number(v, f"{where}.{k}", integral=isinstance(getattr(default, k), int))
                 for k, v in value.items()
@@ -543,11 +520,13 @@ def _scenario_chunks(scenario: Scenario) -> Iterator[str]:
 
 
 def _scenario(payload) -> tuple[Scenario, dict]:
-    """The scenario of a parsed file and its other top-level values.
+    """The scenario of a parsed file and its other top-level values: "at"
+    or none.
 
     Config errors come first, so that each record's window can be checked
     against ``working_end``; then the first bad record in file order is
-    named by its index. A record may be a dict or a request already built.
+    named by its index; then any top-level key besides "config",
+    "requests" and "at". A record may be a dict or a request already built.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"scenario must be a JSON object, got {type(payload).__name__}")
@@ -566,6 +545,7 @@ def _scenario(payload) -> tuple[Scenario, dict]:
         except ValueError as exc:
             raise ValueError(f"request {len(requests)}: {exc}") from None
         requests.append(timed)
+    _check_keys(values, ("at",), "scenario")
     return Scenario(config=config, requests=requests), values
 
 
@@ -642,7 +622,7 @@ class _JsonStream:
 
 def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
     """Read a scenario file: its scenario and its other top-level values
-    (such as an instance file's "at").
+    ("at" or none).
 
     The result and the errors are those of
     ``scenario_from_dict(json.loads(text))``. A file laid out as the writer

@@ -65,6 +65,16 @@ class TestGenerate:
         run_cli("generate", "--seed", "9", "--requests", "80", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mix", ["0.3,0.4,0.3", "0.5"])
+    @pytest.mark.parametrize("preset", ["corridor", "deadlines"])
+    def test_mix_under_a_preset_exits_one(self, preset, mix, tmp_path, capsys):
+        # a preset fixes its own mix, so --mix would be ignored
+        out = tmp_path / "x.json"
+        assert run_cli("generate", "--preset", preset, "--mix", mix, "--requests", "20", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --mix applies only to the uniform city, not --preset {preset}"]
+        assert not out.exists()
+
     def test_corridor_preset(self, tmp_path):
         out = tmp_path / "c.json"
         assert run_cli("generate", "--preset", "corridor", "--requests", "100", "--out", str(out)) == 0
@@ -135,9 +145,22 @@ class TestExperiments:
         payload["config"][key] = value
         small_scenario.write_text(json.dumps(payload))
         out = tmp_path / which
-        assert run_cli("experiment", which, "--scenario", str(small_scenario), "--seeds", "1", "--out", str(out)) == 1
+        seeds = ["--seeds", "1"] if which == "fig8b" else []
+        assert run_cli("experiment", which, "--scenario", str(small_scenario), *seeds, "--out", str(out)) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: infeasible scenario: {message}"]
         assert not (out / f"{which}.csv").exists()
+
+    # each figure takes only the flags it reads
+    @pytest.mark.parametrize("which, flag", [
+        ("fig8a", ("--seed", "3")), ("fig8a", ("--seeds", "1")), ("fig8a", ("--fraction", "5")),
+        ("fig8b", ("--multiples", "1")), ("fig8c", ("--fraction", "5")),
+        ("fig8d", ("--multiples", "1")), ("fig8d", ("--seed", "3")),
+    ])
+    def test_flag_the_figure_does_not_read_exits_one(self, which, flag, small_scenario, tmp_path, capsys):
+        out = tmp_path / which
+        assert run_cli("experiment", which, "--scenario", str(small_scenario), "--out", str(out), *flag) == 1
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig8b_outputs(self, small_scenario, tmp_path):
         out = tmp_path / "fig8b"
@@ -397,6 +420,11 @@ MALFORMED = {
     "thresholds_not_an_object": (_requests(_valid_record(), config={"thresholds": 5}), "config.thresholds must be an object"),
     "food_types_not_a_list": (_requests(_valid_record(), config={"food_types": "mixed"}), "must be a list of food types"),
     "zero_payload": (_requests(_valid_volunteer(payload=0)), "request 0: invalid payload capacity"),
+    "record_not_an_object": ('{"requests": [5]}', "request 0: expected an object, got int"),
+    "unknown_top_level_key": (
+        json.dumps({"config": {}, "reqests": [_valid_record()]}),
+        "scenario: unknown keys ['reqests']",
+    ),
     "zero_requirement_amount": (
         _requests(_valid_record(type="requirement", amount=0)),
         "request 0: invalid amount",
