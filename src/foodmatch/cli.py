@@ -37,7 +37,6 @@ from .output import render_line_chart, write_csv, write_svg
 from .scenario import (
     Scenario,
     ScenarioConfig,
-    finite_number,
     generate_scenario,
     load_scenario,
     read_scenario,
@@ -278,7 +277,7 @@ def _cmd_experiment(args) -> int:
         return EXIT_OK
 
     if args.which == "fig8d":
-        report = experiment_manipulation(config, args.fraction, tick_minutes=args.tick, scenario=scenario)
+        report = experiment_manipulation(scenario, args.fraction, tick_minutes=args.tick)
         _write_figure(
             out, "fig8d", ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
             [(o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, int(o.exception))
@@ -315,7 +314,7 @@ def load_instance(path: str) -> Instance:
     The optional top-level "at" key fixes the iteration minute; without it,
     the latest gate-opening minute is used.
     """
-    scenario, values = read_scenario(path)
+    scenario, now = read_scenario(path)
     thresholds = scenario.config.thresholds
     donors, receivers, vols = [], [], []
     seen: set[RequestId] = set()
@@ -331,14 +330,12 @@ def load_instance(path: str) -> Instance:
             receivers.append(request)
         else:
             vols.append(request)
-    now = values.get("at")
     if now is None:
         # volunteers are left out: their lead is 0, so they would move the minute
         if not (donors or receivers):
             raise ValueError("empty instance")
         now = max(r.window.start - lead_minutes(r, thresholds) for r in donors + receivers)
-    return Instance(donors=donors, receivers=receivers, vols=vols, now=finite_number(now, "at", integral=True),
-                    thresholds=thresholds)
+    return Instance(donors=donors, receivers=receivers, vols=vols, now=now, thresholds=thresholds)
 
 
 def _cmd_oracle(args) -> int:

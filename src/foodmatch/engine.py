@@ -326,20 +326,6 @@ def _rank_table(preferred: Sequence[int], eligible_agents: set[int], raw_mode: b
     return collapse_ranks(preferred, eligible_agents)
 
 
-class EligibilityTrace:
-    """Which partner agents each agent ever saw as candidates, keyed by
-    agent id. Feeds the manipulation experiments' exception analysis."""
-
-    def __init__(self) -> None:
-        self.seen: dict[int, set[int]] = {}
-
-    def record(self, receiver_agent: int, donor_agents: set[int]) -> None:
-        """One receiver turn: it saw these donor agents and each saw it."""
-        self.seen.setdefault(receiver_agent, set()).update(donor_agents)
-        for agent in donor_agents:
-            self.seen.setdefault(agent, set()).add(receiver_agent)
-
-
 def match_receivers(
     receivers: Sequence[RequirementRequest],
     donors: Sequence[DonationRequest],
@@ -347,7 +333,7 @@ def match_receivers(
     volunteers: Sequence[Optional[VolunteerRequest]],
     thresholds: Thresholds,
     policy: MatchPolicy = MatchPolicy(),
-    trace: Optional[EligibilityTrace] = None,
+    trace: Optional[dict[int, set[int]]] = None,
 ) -> None:
     """Serve receivers chronologically, each taking the donors that want it most.
 
@@ -362,6 +348,9 @@ def match_receivers(
     donor event time and the arrival sequence, taking every donor still
     available until its requirement is covered. The final meal is accepted
     even when it overshoots the open requirement.
+
+    A trace, when given, maps each agent id to the partner agent ids it ever
+    saw as candidates; the manipulation analysis reads it.
     """
     raw_mode = policy.preferences == "raw"
 
@@ -389,7 +378,11 @@ def match_receivers(
             continue
         agent = r.id.agent_id
         if trace is not None:
-            trace.record(agent, {donors[k].id.agent_id for k in available})
+            # this receiver saw every available donor agent, and each saw it
+            seen = {donors[k].id.agent_id for k in available}
+            trace.setdefault(agent, set()).update(seen)
+            for other in seen:
+                trace.setdefault(other, set()).add(agent)
         ranks, tail = _rank_table(r.preferred_donors, {donors[k].id.agent_id for k in found}, raw_mode)
 
         def key(k: int) -> tuple:
@@ -427,7 +420,7 @@ def ca_dtb(
     now: int,
     thresholds: Thresholds,
     policy: MatchPolicy = MatchPolicy(),
-    trace: Optional[EligibilityTrace] = None,
+    trace: Optional[dict[int, set[int]]] = None,
 ) -> CaDtbResult:
     """Run one class's matching round, updating the market lists in place.
 
@@ -513,7 +506,7 @@ class MatchingEngine:
         pool: ActivePool,
         thresholds: Thresholds,
         policy: MatchPolicy = MatchPolicy(),
-        trace: Optional[EligibilityTrace] = None,
+        trace: Optional[dict[int, set[int]]] = None,
     ):
         self.pool = pool
         self.thresholds = thresholds

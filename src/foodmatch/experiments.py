@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import MatchPolicy
 from .model import DonationRequest, FoodType, RequirementRequest
@@ -157,9 +157,10 @@ def _misreport_list(rng: random.Random, original: tuple[int, ...]) -> tuple[int,
 
 def manipulate_scenario(
     scenario: Scenario, fraction: float, seed: int = 0
-) -> tuple[Scenario, list[tuple[int, str, tuple[int, ...]]]]:
+) -> tuple[Scenario, list[tuple[int, str, tuple[int, ...], tuple[int, ...]]]]:
     """A copy of the scenario where the given percentage of donors and
-    receivers with stated preferences misreport (shuffle or truncate)."""
+    receivers with stated preferences misreport (shuffle or truncate), and
+    each manipulator's agent id, role, misreport and true list."""
     if not (0.0 <= fraction <= 100.0):
         raise ValueError("fraction must be a percentage")
     rng = random.Random(f"{seed}:manipulation")
@@ -179,12 +180,12 @@ def manipulate_scenario(
         request = timed.request
         if isinstance(request, DonationRequest):
             fake = _misreport_list(rng, request.preferred_receivers)
+            manipulators.append((request.id.agent_id, "donor", fake, request.preferred_receivers))
             request = replace(request, preferred_receivers=fake)
-            manipulators.append((request.id.agent_id, "donor", fake))
         else:
             fake = _misreport_list(rng, request.preferred_donors)
+            manipulators.append((request.id.agent_id, "receiver", fake, request.preferred_donors))
             request = replace(request, preferred_donors=fake)
-            manipulators.append((request.id.agent_id, "receiver", fake))
         requests[i] = TimedRequest(submit_at=timed.submit_at, request=request)
     return Scenario(config=scenario.config, requests=requests), manipulators
 
@@ -194,41 +195,31 @@ def _accepted_pairs(report: SimReport):
 
 
 def experiment_manipulation(
-    config: ScenarioConfig,
+    scenario: Scenario,
     fraction: float,
     tick_minutes: int = TICK_MINUTES,
-    scenario: Optional[Scenario] = None,
 ) -> MisreportReport:
-    """Bulk preference manipulation against the truthful baseline.
+    """Bulk preference manipulation against the truthful baseline, with
+    manipulators drawn from the scenario's config seed.
 
     Each manipulator's outcome is scored by its true preference list in both
     runs with the misreport probe's scorer; gain is truthful rank minus
     manipulated rank, so positive means the lie helped.
     """
-    scenario = scenario if scenario is not None else generate_scenario(config)
-    manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=config.seed)
+    manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=scenario.config.seed)
 
     truthful_report = run_simulation(scenario, tick_minutes=tick_minutes, trace=True)
     manip_report = run_simulation(manipulated, tick_minutes=tick_minutes, trace=True)
-
-    true_lists: dict[tuple[int, str], tuple[int, ...]] = {}
-    for timed in scenario.requests:
-        request = timed.request
-        if isinstance(request, DonationRequest):
-            true_lists[(request.id.agent_id, "donor")] = request.preferred_receivers
-        elif isinstance(request, RequirementRequest):
-            true_lists[(request.id.agent_id, "receiver")] = request.preferred_donors
 
     truthful = partner_index(_accepted_pairs(truthful_report))
     manipulated_partners = partner_index(_accepted_pairs(manip_report))
 
     report = MisreportReport()
-    for agent_id, role, fake in manipulators:
-        key = (agent_id, role)
+    for agent_id, role, fake, true_list in manipulators:
         report.outcomes.append(score_misreport(
-            agent_id, role, fake, true_lists.get(key, ()),
-            truthful.get(key, []),
-            manipulated_partners.get(key, []),
+            agent_id, role, fake, true_list,
+            truthful.get((agent_id, role), []),
+            manipulated_partners.get((agent_id, role), []),
             manip_report.eligibility_universes.get(agent_id, ()),
         ))
     return report

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
-from .engine import ClassifiedLists, EligibilityTrace, MatchPolicy, ca_dtb, gated, trifurcate
+from .engine import ClassifiedLists, MatchPolicy, ca_dtb, gated, trifurcate
 from .geometry import default_vicinity, distance, within_dropoff_band
 from .model import (
     PERISHABILITY,
@@ -76,10 +76,11 @@ class Instance:
         return copy.deepcopy(self)
 
 
-def run_instance(instance: Instance) -> tuple[list[Match], EligibilityTrace]:
-    """One mechanism iteration over the instance, perishable class first."""
+def run_instance(instance: Instance) -> tuple[list[Match], dict[int, set[int]]]:
+    """One mechanism iteration over the instance, perishable class first,
+    and the partner agents each agent saw as candidates."""
     work = instance.clone()
-    trace = EligibilityTrace()
+    trace: dict[int, set[int]] = {}
     # a meal keeps its donation's arrival, so the stable sort keeps piece order
     snapshot = sorted(_meals(work) + work.receivers + work.vols, key=lambda r: r.arrival)
     lists = trifurcate(snapshot, ClassifiedLists(), work.now, work.thresholds)
@@ -441,7 +442,7 @@ def exhaustive_misreports(instance: Instance) -> MisreportReport:
                 agent_id, role, misreport, true_list,
                 truthful.get((agent_id, role), []),
                 misreported.get((agent_id, role), []),
-                trace.seen.get(agent_id, ()),
+                trace.get(agent_id, ()),
             ))
     return report
 
@@ -484,7 +485,7 @@ def sized_instance(
 
     Agents count up from 101 (donors), 201 (receivers) and 301 (volunteers),
     so past 100 per role ids collide across roles (receiver and volunteer
-    301.1) and an EligibilityTrace mixes both roles' views of one agent id;
+    301.1) and an eligibility trace mixes both roles' views of one agent id;
     recorded results pin these ids."""
     rng = random.Random(f"instance:{seed}")
     thresholds = thresholds or Thresholds()

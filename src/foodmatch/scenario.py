@@ -9,18 +9,17 @@ the errands they already run, which is what makes the tight pickup radius
 (a percentage of the route length) operative at all.
 
 The file format is a single JSON object with "config" and "requests" keys
-(and, in an oracle instance file, "at"), written on one line with sorted
-keys. A request record carries a "type" discriminator and the fields of its
-request class, under the class's field names except for a few renames, as
-integer minutes, [x, y] kilometer locations and gram amounts; one plan per
-class, built from its dataclass fields, both writes and reads them. The
-writer streams the file one record at a time. The reader gives the same
-scenario and one-line errors as ``scenario_from_dict(json.loads(text))``,
-validates every field, keeps every minute inside [0, working_end], and
-refuses unknown keys. A file in the writer's layout, with any whitespace
-between its tokens, is streamed: read in fixed-size text chunks, each record
-built into a request before the next is decoded, and equal integers within
-one file share one int object. Every other file is parsed whole.
+(and, in an oracle instance file, an integer "at" minute), written on one
+line with sorted keys. A request record carries a "type" discriminator and
+the fields of its request class, under the class's field names except for a
+few renames, as integer minutes, [x, y] kilometer locations and gram
+amounts; one plan per class, built from its dataclass fields, both writes
+and reads them. The writer streams the file one record at a time. The reader
+returns the scenario and its "at" minute or None, with the one-line errors of
+``scenario_from_dict``; it validates every field, keeps every minute inside
+[0, working_end], and refuses unknown keys. A file in the writer's layout is
+streamed, config first, then one record at a time from fixed-size text
+chunks, with equal integers sharing one int object. Other files parse whole.
 """
 
 from __future__ import annotations
@@ -147,10 +146,17 @@ def _uniform_location(rng: random.Random, config: ScenarioConfig) -> Location:
     )
 
 
-def _near(rng: random.Random, config: ScenarioConfig, anchor: Location, sigma: float = 1.5) -> Location:
+def _near(rng: random.Random, config: ScenarioConfig, anchor: Location, sigma: float) -> Location:
     x = min(max(anchor.x + rng.gauss(0.0, sigma), 0.0), config.city_width)
     y = min(max(anchor.y + rng.gauss(0.0, sigma), 0.0), config.city_height)
     return Location(round(x, 4), round(y, 4))
+
+
+def _site(rng: random.Random, config: ScenarioConfig, centers: list[Location]) -> Location:
+    """A donor's or receiver's location: near a random hub, or uniform."""
+    if centers:
+        return _near(rng, config, rng.choice(centers), config.hub_sigma)
+    return _uniform_location(rng, config)
 
 
 def _window_after(rng: random.Random, config: ScenarioConfig, submit: int,
@@ -218,10 +224,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     receivers: list[TimedRequest] = []
     for agent in receiver_ids:
         submit = rng_r.randint(wh[0], latest_submit)
-        if receiver_centers:
-            loc = _near(rng_r, config, rng_r.choice(receiver_centers), sigma=config.hub_sigma)
-        else:
-            loc = _uniform_location(rng_r, config)
+        loc = _site(rng_r, config, receiver_centers)
         receivers.append(
             TimedRequest(
                 submit_at=submit,
@@ -241,10 +244,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     donors: list[TimedRequest] = []
     for agent in donor_ids:
         submit = rng_d.randint(wh[0], latest_submit)
-        if donor_centers:
-            loc = _near(rng_d, config, rng_d.choice(donor_centers), sigma=config.hub_sigma)
-        else:
-            loc = _uniform_location(rng_d, config)
+        loc = _site(rng_d, config, donor_centers)
         window = _window_after(rng_d, config, submit, config.donor_lead, config.donor_span)
         donors.append(
             TimedRequest(
@@ -284,7 +284,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
             if not anchor_cycle:
                 anchor_cycle = rng_v.sample(donors, len(donors))
             anchor = anchor_cycle.pop()
-            start = _near(rng_v, config, anchor.request.location, sigma=0.5)
+            start = _near(rng_v, config, anchor.request.location, 0.5)
             avail_start = max(wh[0], anchor.request.window.start - rng_v.randint(0, 90))
         else:
             start = _uniform_location(rng_v, config)
@@ -303,11 +303,11 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
                     and candidate.request.window.end >= anchor.request.window.end
                     and candidate.request.window.start - th.t_r <= anchor.request.window.end - th.t_d
                 ):
-                    end = _near(rng_v, config, candidate.request.location, sigma=0.5)
+                    end = _near(rng_v, config, candidate.request.location, 0.5)
                     break
         if end is None:
             if receivers:
-                end = _near(rng_v, config, rng_v.choice(receivers).request.location, sigma=0.5)
+                end = _near(rng_v, config, rng_v.choice(receivers).request.location, 0.5)
             else:
                 end = _uniform_location(rng_v, config)
         motored = rng_v.random() < config.motored_rate
@@ -412,8 +412,8 @@ def _numbers(value, name: str, length: Optional[int] = None, integral: bool = Fa
 
 
 def _get(record: dict, name: str, kind, default=MISSING):
-    """Take one field out of a request record as an int, str, bool, food
-    type, tuple of ints, [x, y] location or [start, end] window."""
+    """Take one field out of a record as an int, str, bool, food type,
+    tuple of ints, [x, y] location or [start, end] window."""
     if name not in record:
         if default is MISSING:
             raise ValueError(f"missing field {name!r}")
@@ -434,7 +434,7 @@ def _get(record: dict, name: str, kind, default=MISSING):
     return FoodType(value) if kind is FoodType else value
 
 
-def _request_from_record(record) -> TimedRequest:
+def _request_from_record(record, working_end: int) -> TimedRequest:
     if not isinstance(record, dict):
         raise ValueError(f"expected an object, got {type(record).__name__}")
     # every read takes its key out, so what is left was never read
@@ -463,6 +463,8 @@ def _request_from_record(record) -> TimedRequest:
         raise ValueError(f"unknown keys {sorted(record)}")
     if submit_at < 0 or window.start < 0:
         raise ValueError(f"minutes must not be negative, got submit_at {submit_at}, window start {window.start}")
+    if window.end > working_end:
+        raise ValueError(f"window ends at minute {window.end}, past working_end {working_end}")
     return TimedRequest(submit_at=submit_at, request=request)
 
 
@@ -519,14 +521,13 @@ def _scenario_chunks(scenario: Scenario) -> Iterator[str]:
     yield "]}"
 
 
-def _scenario(payload) -> tuple[Scenario, dict]:
-    """The scenario of a parsed file and its other top-level values: "at"
-    or none.
+def _scenario(payload) -> tuple[Scenario, Optional[int]]:
+    """The scenario of a parsed file and its "at" minute, if any.
 
     Config errors come first, so that each record's window can be checked
     against ``working_end``; then the first bad record in file order is
     named by its index; then any top-level key besides "config",
-    "requests" and "at". A record may be a dict or a request already built.
+    "requests" and "at"; then an "at" that is not an integer.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"scenario must be a JSON object, got {type(payload).__name__}")
@@ -538,15 +539,11 @@ def _scenario(payload) -> tuple[Scenario, dict]:
     requests: list[TimedRequest] = []
     for record in records:
         try:
-            timed = record if isinstance(record, TimedRequest) else _request_from_record(record)
-            end = timed.request.window.end
-            if end > config.working_end:
-                raise ValueError(f"window ends at minute {end}, past working_end {config.working_end}")
+            requests.append(_request_from_record(record, config.working_end))
         except ValueError as exc:
             raise ValueError(f"request {len(requests)}: {exc}") from None
-        requests.append(timed)
     _check_keys(values, ("at",), "scenario")
-    return Scenario(config=config, requests=requests), values
+    return Scenario(config=config, requests=requests), _get(values, "at", int, None)
 
 
 def scenario_from_dict(payload) -> Scenario:
@@ -620,15 +617,14 @@ class _JsonStream:
                 return value
 
 
-def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
-    """Read a scenario file: its scenario and its other top-level values
-    ("at" or none).
+def read_scenario(path: Union[str, Path]) -> tuple[Scenario, Optional[int]]:
+    """Read a scenario file: its scenario and its "at" minute, if any.
 
-    The result and the errors are those of
-    ``scenario_from_dict(json.loads(text))``. A file laid out as the writer
-    writes it, ``{"config": ..., "requests": [...]}`` with any whitespace
-    between the tokens, is streamed: each request is built as soon as its
-    record is decoded. Any other file is parsed whole.
+    The result and the errors are those of ``_scenario(json.loads(text))``.
+    A file laid out as the writer writes it, ``{"config": ..., "requests":
+    [...]}`` with any whitespace between the tokens, is streamed: the config
+    is checked first, and each request is built as soon as its record is
+    decoded. Any other file is parsed whole.
     """
     path = Path(path)
     with path.open() as file:
@@ -640,21 +636,22 @@ def read_scenario(path: Union[str, Path]) -> tuple[Scenario, dict]:
 
         try:
             expect("{", '"config"', ":")
-            values = {"config": stream.value()}
+            config = config_from_dict(stream.value())
             expect(",", '"requests"', ":", "[")
-            requests = values["requests"] = [_request_from_record(stream.value())]
+            requests = [_request_from_record(stream.value(), config.working_end)]
             while stream.take(","):
-                requests.append(_request_from_record(stream.value()))
+                requests.append(_request_from_record(stream.value(), config.working_end))
             expect("]", "}", "")
+            return Scenario(config=config, requests=requests), None
         except (ValueError, RecursionError):
             # the whole-text parse decides: it names a syntax error by line
             # and column, lets the last of duplicate keys win, and puts
             # config errors before record errors
             try:
-                values = json.loads(path.read_text())
+                payload = json.loads(path.read_text())
             except RecursionError:
                 raise ValueError("JSON nested too deeply") from None
-    return _scenario(values)
+    return _scenario(payload)
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:

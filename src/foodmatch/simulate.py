@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import EligibilityTrace, MatchingEngine, MatchPolicy
+from .engine import MatchingEngine, MatchPolicy
 from .geometry import DeliveryRecord, off_route_overhead
 from .model import DonationRequest, MatchStatus, RequirementRequest
 from .pool import ActivePool, submit_request
@@ -90,8 +90,7 @@ def run_simulation(
     check_tick(tick_minutes)
     thresholds = scenario.config.thresholds
     pool = ActivePool()
-    eligibility = EligibilityTrace() if trace else None
-    engine = MatchingEngine(pool, thresholds, policy=policy, trace=eligibility)
+    engine = MatchingEngine(pool, thresholds, policy=policy, trace={} if trace else None)
     rng = random.Random(f"{acceptance.seed}:acceptance")
 
     schedule = sorted(scenario.requests, key=lambda t: (t.submit_at, t.request.id.agent_id))
@@ -233,5 +232,5 @@ def _build_report(engine: MatchingEngine) -> SimReport:
         terminal_states=terminal,
         lifecycle_consistent=consistent,
         accepted_groups=accepted_groups,
-        eligibility_universes=engine.trace.seen if engine.trace is not None else {},
+        eligibility_universes=engine.trace if engine.trace is not None else {},
     )

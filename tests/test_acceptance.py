@@ -120,7 +120,7 @@ def test_criterion_5_misreports_never_help():
         improvements += len(probe.improvements)
         hard += len(probe.hard_violations)
 
-    bulk = experiment_manipulation(ScenarioConfig(n_requests=5000, seed=11), fraction=20.0)
+    bulk = experiment_manipulation(generate_scenario(ScenarioConfig(n_requests=5000, seed=11)), fraction=20.0)
     ok = (
         hard == 0
         and bulk.exception_rate_pct < 5.0

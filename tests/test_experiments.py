@@ -75,16 +75,25 @@ class TestManipulation:
             t.request.id.agent_id: t.request
             for t in scenario.requests
         }
-        for agent_id, role, fake in manipulators:
+        for agent_id, role, fake, _ in manipulators:
             original = truth[agent_id]
             true_list = (
                 original.preferred_receivers if role == "donor" else original.preferred_donors
             )
             assert tuple(fake) != tuple(true_list)
 
+    def test_true_lists_are_the_original_requests_lists(self):
+        scenario = generate_scenario(desk_policy_config(seed=6, n_requests=200))
+        truth = {t.request.id.agent_id: t.request for t in scenario.requests}
+        _, manipulators = manipulate_scenario(scenario, 50.0, seed=6)
+        assert manipulators
+        for agent_id, role, _, true_list in manipulators:
+            original = truth[agent_id]
+            assert true_list == (original.preferred_receivers if role == "donor" else original.preferred_donors)
+
     def test_report_counts_every_manipulator(self):
-        config = desk_policy_config(seed=7, n_requests=150)
-        report = experiment_manipulation(config, fraction=30.0)
-        _, manipulators = manipulate_scenario(generate_scenario(config), 30.0, seed=7)
+        scenario = generate_scenario(desk_policy_config(seed=7, n_requests=150))
+        report = experiment_manipulation(scenario, fraction=30.0)
+        _, manipulators = manipulate_scenario(scenario, 30.0, seed=7)
         assert report.cases == len(report.outcomes) == len(manipulators) > 0
         assert all(o.gain == o.truthful_rank - o.misreport_rank for o in report.outcomes)

@@ -145,7 +145,7 @@ def instance_payload(policy: str, seed: int) -> dict:
         [str(m.donor), str(m.volunteer), str(m.receiver), m.delivered_amount, m.vicinity]
         for m in matches
     ]
-    return {"rows": rows, "universes": _universes(trace.seen)}
+    return {"rows": rows, "universes": _universes(trace)}
 
 
 def simulation_payload() -> dict:
@@ -160,7 +160,7 @@ def simulation_payload() -> dict:
 
 
 def manipulation_payload(seed: int, fraction: float) -> dict:
-    report = experiment_manipulation(desk_policy_config(seed=seed, n_requests=200), fraction)
+    report = experiment_manipulation(generate_scenario(desk_policy_config(seed=seed, n_requests=200)), fraction)
     rows = [
         [o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, o.exception]
         for o in report.outcomes

@@ -448,7 +448,7 @@ class TestMisreports:
                     ])
                     matches, trace = run_instance(variant)
                     case = score_misreport(agent, "donor", report, listed, partners,
-                                           partners_of(matches).get((agent, "donor"), []), trace.seen.get(agent, ()))
+                                           partners_of(matches).get((agent, "donor"), []), trace.get(agent, ()))
                     misreports += 1
                     if case.gain > 0 and not case.exception:
                         hard.append([s, agent, list(report), case.truthful_rank, case.misreport_rank])

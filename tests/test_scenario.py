@@ -12,6 +12,7 @@ from foodmatch.model import DonationRequest, RequirementRequest, VolunteerReques
 from foodmatch.scenario import (
     Scenario,
     ScenarioConfig,
+    finite_number,
     generate_scenario,
     load_scenario,
     read_scenario,
@@ -217,7 +218,7 @@ def _outcome(read):
 def _whole_text(path):
     payload = json.loads(path.read_text())
     scenario = scenario_from_dict(payload)
-    return scenario, {k: v for k, v in payload.items() if k not in ("config", "requests")}
+    return scenario, finite_number(payload["at"], "at", integral=True) if "at" in payload else None
 
 
 class _WholeTextParsed(Exception):
@@ -266,6 +267,36 @@ class TestStreamingReader:
         else:
             with pytest.raises(_WholeTextParsed):
                 read_scenario(path)
+
+    def test_generated_file_streams_with_no_minute(self, tmp_path, monkeypatch):
+        scenario = generate_scenario(ScenarioConfig(n_requests=60, seed=4))
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+
+        def whole_text_parse(text):
+            raise _WholeTextParsed
+
+        monkeypatch.setattr(scenario_module.json, "loads", whole_text_parse)
+        read, at = read_scenario(path)
+        assert at is None
+        assert scenario_text(read) == scenario_text(scenario)
+
+    def test_instance_file_gives_its_minute(self, tmp_path, monkeypatch):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"at": 600, "requests": _INSTANCE_RECORDS}))
+        parsed = []
+        loads = scenario_module.json.loads
+        monkeypatch.setattr(scenario_module.json, "loads", lambda text: parsed.append(text) or loads(text))
+        scenario, at = read_scenario(path)
+        assert (at, len(parsed)) == (600, 1)
+        assert scenario == scenario_from_dict({"requests": _INSTANCE_RECORDS})
+
+    @pytest.mark.parametrize("at", ["600", 600.0, True, [600], None])
+    def test_minute_must_be_an_integer(self, at, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"at": at, "requests": _INSTANCE_RECORDS}))
+        with pytest.raises(ValueError, match=r"^at must be an integer, got "):
+            read_scenario(path)
 
     def test_equal_integers_share_one_object(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -146,6 +146,7 @@ class TestSeededRuns:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="known lifecycle fault: a rejected or expired sibling group requeues the "
         "volunteer of an accepted group, which then serves another donor; volunteer agents "
         "3741, 4453 and 3657 are each accepted for two donor agents in this run",
@@ -259,7 +260,7 @@ def reference_report(engine) -> SimReport:
         terminal_states=terminal,
         lifecycle_consistent=consistent,
         accepted_groups=accepted_groups,
-        eligibility_universes=eligibility.seen if eligibility is not None else {},
+        eligibility_universes=eligibility if eligibility is not None else {},
     )
 
 
