@@ -457,7 +457,7 @@ def ca_dtb(
     return CaDtbResult(matches)
 
 
-@dataclass
+@dataclass(slots=True)
 class DisplayGroup:
     """What one agent triple actually sees: meal matches with the same
     (donor agent, volunteer, receiver) clubbed into a single record, whose

@@ -14,7 +14,7 @@ from typing import Optional
 from .model import Location, Perishability, Thresholds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     """Off-routing audit record for one volunteer-carried delivery."""
 

@@ -119,41 +119,42 @@ class _OracleWorld:
 
     Transport assignments (and with them each donor's reach) are taken from
     the produced matching, because alternatives must live under the same
-    eligibility predicates; everything else is recomputed here.
+    eligibility predicates; everything else is recomputed here. Each (gated
+    donor, gated receiver) pair is tested once, into each donor's feasible
+    receivers by id in receiver order.
     """
 
     def __init__(self, instance: Instance, produced: Sequence[Match]):
         self.thresholds = instance.thresholds
         self.raw_mode = instance.policy.preferences == "raw"
-        self.gated_donors = gated(_meals(instance), instance.now, instance.thresholds)
-        self.gated_receivers = gated(instance.receivers, instance.now, instance.thresholds)
+        self.donors = {d.id: d for d in gated(_meals(instance), instance.now, instance.thresholds)}
+        self.receivers = gated(instance.receivers, instance.now, instance.thresholds)
         vols_by_id = {v.id: v for v in instance.vols}
-        self.vicinity: dict[RequestId, float] = {}
-        self.volunteer: dict[RequestId, Optional[VolunteerRequest]] = {}
         produced_by_donor = {m.donor: m for m in produced}
-        for d in self.gated_donors:
+        self.feasible: dict[RequestId, dict[RequestId, RequirementRequest]] = {}
+        for d in self.donors.values():
             match = produced_by_donor.get(d.id)
             if match is not None:
-                self.vicinity[d.id] = match.vicinity
-                self.volunteer[d.id] = vols_by_id.get(match.volunteer) if match.volunteer else None
+                vicinity = match.vicinity
+                volunteer = vols_by_id.get(match.volunteer) if match.volunteer else None
             else:
                 # no recorded assignment: a donor reaches the class floor on
                 # its own
-                self.vicinity[d.id] = default_vicinity(PERISHABILITY[d.food], None, self.thresholds)
-                self.volunteer[d.id] = None
-        self.eligible_agents = {
-            d.id: {r.id.agent_id for r in self.gated_receivers if self.pair_feasible(d, r)}
-            for d in self.gated_donors
-        }
+                vicinity = default_vicinity(PERISHABILITY[d.food], None, self.thresholds)
+                volunteer = None
+            self.feasible[d.id] = {
+                r.id: r for r in self.receivers if self.pair_feasible(d, r, vicinity, volunteer)
+            }
 
-    def pair_feasible(self, d: DonationRequest, r: RequirementRequest) -> bool:
+    def pair_feasible(
+        self, d: DonationRequest, r: RequirementRequest, vicinity: float, volunteer: Optional[VolunteerRequest]
+    ) -> bool:
         if PERISHABILITY[d.food] is not PERISHABILITY[r.food]:
             return False
         if d.window.end > r.window.end:
             return False
-        if distance(r.location, d.location) > self.vicinity[d.id]:
+        if distance(r.location, d.location) > vicinity:
             return False
-        volunteer = self.volunteer[d.id]
         if volunteer is not None:
             if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
                 return False
@@ -166,15 +167,16 @@ class _OracleWorld:
                 return False
         return True
 
-    def donor_position(self, d: DonationRequest, receiver_agent: int) -> int:
+    def donor_position(self, donor_id: RequestId, receiver_agent: int) -> int:
         """The receiver's position for the donor, asked only of feasible
         pairs: a raw list names the receiver, and an eligible one has it."""
+        preferred = self.donors[donor_id].preferred_receivers
         if self.raw_mode:
-            return d.preferred_receivers.index(receiver_agent) + 1 if d.preferred_receivers else 1
-        eligible_agents = self.eligible_agents[d.id]
+            return preferred.index(receiver_agent) + 1 if preferred else 1
+        eligible_agents = {r.agent_id for r in self.feasible[donor_id]}
         rank = 0
         ranks = {}
-        for agent in d.preferred_receivers:
+        for agent in preferred:
             if agent in eligible_agents and agent not in ranks:
                 rank += 1
                 ranks[agent] = rank
@@ -202,12 +204,8 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     meal.
     """
     world = _OracleWorld(instance, produced)
-    donors = world.gated_donors
-    receivers = world.gated_receivers
-    donors_by_id = {d.id: d for d in donors}
-    receivers_by_id = {r.id: r for r in receivers}
-    produced_pairs = {m.donor: m.receiver for m in produced if m.receiver is not None}
-    matched_donor_ids = set(produced_pairs)
+    produced_pairs: dict[RequestId, RequestId] = {}
+    meals: dict[RequestId, list[int]] = {r.id: [] for r in world.receivers}
 
     # feasibility: the checks below compare against alternatives under the
     # same predicates, so every produced pair must itself satisfy them (and
@@ -215,35 +213,27 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     for m in produced:
         if m.receiver is None:
             continue
-        d = donors_by_id.get(m.donor)
-        r = receivers_by_id.get(m.receiver)
-        if d is None or r is None or not world.pair_feasible(d, r):
+        if m.receiver not in world.feasible.get(m.donor, ()):
             return OracleVerdict(
                 ok=False,
                 reason="produced pair is infeasible",
                 counterexample={"donor": str(m.donor), "receiver": str(m.receiver)},
             )
-
-    load: dict[RequestId, int] = {r.id: 0 for r in receivers}
-    for m in produced:
-        if m.receiver is not None and m.receiver in load:
-            load[m.receiver] += m.delivered_amount
+        produced_pairs[m.donor] = m.receiver
+        meals[m.receiver].append(m.delivered_amount)
+    unmatched = [donor_id for donor_id in world.donors if donor_id not in produced_pairs]
 
     # maximality: an unmatched donor fitting a receiver with open demand
-    for d in donors:
-        if d.id in matched_donor_ids:
-            continue
-        for r in receivers:
-            if not world.pair_feasible(d, r):
-                continue
-            if load[r.id] < r.amount:
+    for donor_id in unmatched:
+        for r in world.feasible[donor_id].values():
+            if sum(meals[r.id]) < r.amount:
                 better = dict(produced_pairs)
-                better[d.id] = r.id
+                better[donor_id] = r.id
                 return OracleVerdict(
                     ok=False,
                     reason="unmatched donor fits open demand",
                     counterexample={
-                        "donor": str(d.id),
+                        "donor": str(donor_id),
                         "receiver": str(r.id),
                         "assignment": {str(k): str(v) for k, v in better.items()},
                     },
@@ -252,39 +242,35 @@ def brute_force_pareto_oracle(instance: Instance, produced: Sequence[Match]) -> 
     # justified selection: swapping in an unmatched donor that ranks the
     # receiver strictly better than the donor it got
     for donor_id, receiver_id in produced_pairs.items():
-        receiver = receivers_by_id[receiver_id]
-        matched_position = world.donor_position(donors_by_id[donor_id], receiver.id.agent_id)
-        for d in donors:
-            if d.id in matched_donor_ids:
+        matched_position = world.donor_position(donor_id, receiver_id.agent_id)
+        for better_id in unmatched:
+            if receiver_id not in world.feasible[better_id]:
                 continue
-            if not world.pair_feasible(d, receiver):
-                continue
-            position = world.donor_position(d, receiver.id.agent_id)
+            position = world.donor_position(better_id, receiver_id.agent_id)
             if position < matched_position:
                 better = dict(produced_pairs)
                 del better[donor_id]
-                better[d.id] = receiver.id
+                better[better_id] = receiver_id
                 return OracleVerdict(
                     ok=False,
                     reason="unmatched donor ranked the receiver strictly better",
                     counterexample={
-                        "receiver": str(receiver.id),
+                        "receiver": str(receiver_id),
                         "kept_donor": str(donor_id),
                         "kept_position": matched_position,
-                        "better_donor": str(d.id),
+                        "better_donor": str(better_id),
                         "better_position": position,
                         "assignment": {str(k): str(v) for k, v in better.items()},
                     },
                 )
 
     # consistency: the produced load itself must be realizable
-    for r in receivers:
-        meals = [m.delivered_amount for m in produced if m.receiver == r.id]
-        if not _receiver_load_feasible(r.amount, meals):
+    for r in world.receivers:
+        if not _receiver_load_feasible(r.amount, meals[r.id]):
             return OracleVerdict(
                 ok=False,
                 reason="receiver overloaded beyond a final-meal overshoot",
-                counterexample={"receiver": str(r.id), "meals": meals, "amount": r.amount},
+                counterexample={"receiver": str(r.id), "meals": meals[r.id], "amount": r.amount},
             )
 
     return OracleVerdict(ok=True)
@@ -350,19 +336,17 @@ class MisreportReport:
 def true_rank(true_list: Sequence[int], partners: Sequence[int]) -> int:
     """Best achieved rank measured against the agent's true list.
 
-    Listed partners score their submitted index; unlisted partners share the
-    rank just past the list; no partner at all scores one worse than that.
+    Listed partners score their first listed index; unlisted partners share
+    the rank just past the list; no partner at all scores one worse than
+    that.
     """
-    unmatched = len(true_list) + 2
+    unlisted = len(true_list) + 1
     if not partners:
-        return unmatched
-    best = unmatched
-    for agent in partners:
-        if agent in true_list:
-            best = min(best, list(true_list).index(agent) + 1)
-        else:
-            best = min(best, len(true_list) + 1)
-    return best
+        return unlisted + 1
+    positions: dict[int, int] = {}
+    for position, agent in enumerate(true_list, start=1):
+        positions.setdefault(agent, position)
+    return min(positions.get(agent, unlisted) for agent in partners)
 
 
 def partner_index(pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, str], list[int]]:
@@ -419,31 +403,30 @@ def exhaustive_misreports(instance: Instance) -> MisreportReport:
     base_matches, _ = run_instance(instance)
     truthful = partner_index(_matched_pairs(base_matches))
 
-    sides = [("donor", d) for d in instance.donors] + [("receiver", r) for r in instance.receivers]
-    opposite = {
-        "donor": [r.id.agent_id for r in instance.receivers],
-        "receiver": [d.id.agent_id for d in instance.donors],
-    }
-    for role, agent in sides:
-        agent_id = agent.id.agent_id
-        listed = "preferred_receivers" if role == "donor" else "preferred_donors"
-        true_list = getattr(agent, listed)
-        for misreport in _misreports(opposite[role]):
-            if tuple(misreport) == tuple(true_list):
-                continue
-            side = "donors" if role == "donor" else "receivers"
-            variant = replace(instance, **{side: [
-                replace(request, **{listed: misreport}) if request.id.agent_id == agent_id else request
-                for request in getattr(instance, side)
-            ]})
-            matches, trace = run_instance(variant)
-            misreported = partner_index(_matched_pairs(matches))
-            report.outcomes.append(score_misreport(
-                agent_id, role, misreport, true_list,
-                truthful.get((agent_id, role), []),
-                misreported.get((agent_id, role), []),
-                trace.get(agent_id, ()),
-            ))
+    roles = (
+        ("donor", "donors", "preferred_receivers", instance.receivers),
+        ("receiver", "receivers", "preferred_donors", instance.donors),
+    )
+    for role, side, listed, others in roles:
+        misreports = _misreports([other.id.agent_id for other in others])
+        for agent in getattr(instance, side):
+            agent_id = agent.id.agent_id
+            true_list = getattr(agent, listed)
+            for misreport in misreports:
+                if misreport == tuple(true_list):
+                    continue
+                variant = replace(instance, **{side: [
+                    replace(request, **{listed: misreport}) if request.id.agent_id == agent_id else request
+                    for request in getattr(instance, side)
+                ]})
+                matches, trace = run_instance(variant)
+                misreported = partner_index(_matched_pairs(matches))
+                report.outcomes.append(score_misreport(
+                    agent_id, role, misreport, true_list,
+                    truthful.get((agent_id, role), []),
+                    misreported.get((agent_id, role), []),
+                    trace.get(agent_id, ()),
+                ))
     return report
 
 

@@ -15,9 +15,9 @@ the fields of its request class, under the class's field names except for a
 few renames, as integer minutes, [x, y] kilometer locations and gram
 amounts; one plan per class, built from its dataclass fields, both writes
 and reads them. The writer streams the file one record at a time. The reader
-returns the scenario and its "at" minute or None, with the one-line errors of
-``scenario_from_dict``; it validates every field, keeps every minute inside
-[0, working_end], and refuses unknown keys. A file in the writer's layout is
+returns the scenario and its "at" minute or None, or raises a one-line
+ValueError that names a bad request record by its index; it validates every
+field, keeps every minute inside [0, working_end], and refuses unknown keys. A file in the writer's layout is
 streamed, config first, then one record at a time from fixed-size text
 chunks, with equal integers sharing one int object. Other files parse whole.
 """
@@ -544,15 +544,6 @@ def _scenario(payload) -> tuple[Scenario, Optional[int]]:
             raise ValueError(f"request {len(requests)}: {exc}") from None
     _check_keys(values, ("at",), "scenario")
     return Scenario(config=config, requests=requests), _get(values, "at", int, None)
-
-
-def scenario_from_dict(payload) -> Scenario:
-    """Validate a parsed scenario file and build the scenario from it.
-
-    Raises ValueError with a one-line message; a bad request record is named
-    by its index in the "requests" list.
-    """
-    return _scenario(payload)[0]
 
 
 _CHUNK_CHARS = 1 << 16

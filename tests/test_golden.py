@@ -16,6 +16,14 @@ instances among seeds 0-24 that have one, all availability exceptions under
 raw preferences; "sized" holds the known hard gain), and the paired
 fig8b/fig8c allocation rows.
 
+The Pareto verdict digest was recorded while the assignment oracle still
+tested a (donor, receiver) pair afresh in each of its checks. It pins the
+verdict, reason and counterexample of every judgement in a sweep of random
+instances under both preference modes: the produced matching and three
+seeded corruptions of it (a match moved to a random receiver or none, a
+receiver handed to another donor, a match dropped), which reach all five
+reasons.
+
 The figure digests were recorded while the experiment command still wrote
 each figure's CSV and SVG with its own block of code. They pin the file
 bytes of fig8a, fig8b, fig8c and fig8d on a small desk-policy city.
@@ -28,6 +36,8 @@ size, both desk presets, a multi-hub city and an empty scenario.
 
 import hashlib
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -39,7 +49,14 @@ from foodmatch.experiments import (
     experiment_manipulation,
     experiment_paired_policies,
 )
-from foodmatch.oracles import exhaustive_misreports, random_instance, run_instance, sized_instance
+from foodmatch.oracles import (
+    brute_force_pareto_oracle,
+    exhaustive_misreports,
+    random_instance,
+    run_instance,
+    sized_instance,
+)
+from foodmatch.pool import split_into_meals
 from foodmatch.scenario import ScenarioConfig, generate_scenario, save_scenario
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
@@ -76,6 +93,8 @@ MISREPORT_DIGESTS = {
     "sized": "9100603b7edd84ba0e4f214e40be6d60a4ada68aaadac53512d1b70de57b0b9c",
     "start": "879c1a46c8111c83d9495c55bed3c730f74a37e11b06fe144d7ae8f4a74b9bb3",
 }
+
+PARETO_VERDICT_DIGEST = "c5565066d9e646daf0c7842d45e21aee655c9631389e1eade5b70ef5d47016a2"
 
 PAIRED_DIGESTS = {
     "fig8b": "5a31d7744c22522f1cf3132d4808af691050c857f3d6e362daa2bb2eb1d79a1e",
@@ -184,6 +203,45 @@ def misreport_payload(which: str) -> list:
     ]
 
 
+def corruptions(instance, matches: list, seed: int) -> list[list]:
+    """Three seeded corruptions of a produced matching: a left-out donor's
+    match moved to a served receiver with its meal's full amount, a served
+    receiver handed from its donor to a left-out one, and one match
+    dropped."""
+    rng = random.Random(f"corrupt:{seed}")
+    if not matches:
+        return []
+    meals = {m.id: m.amount for d in instance.donors for m in split_into_meals(d, instance.thresholds.t_m)}
+
+    def assign(m, receiver):
+        return replace(m, receiver=receiver, delivered_amount=meals[m.donor] if receiver else 0)
+
+    left_out = [j for j, m in enumerate(matches) if m.receiver is None] or range(len(matches))
+    served = [j for j, m in enumerate(matches) if m.receiver is not None] or range(len(matches))
+    moved, handed, dropped = list(matches), list(matches), list(matches)
+    i, k = rng.choice(left_out), rng.choice(served)
+    moved[i] = assign(matches[i], matches[k].receiver)
+    i, j = rng.choice(served), rng.choice(left_out)
+    handed[j] = assign(matches[j], matches[i].receiver)
+    if i != j:
+        handed[i] = assign(matches[i], None)
+    i = rng.randrange(len(matches))
+    dropped[i] = assign(matches[i], None)
+    return [moved, handed, dropped]
+
+
+def pareto_verdict_payload() -> list:
+    rows = []
+    for mode in ("default", "raw"):
+        for seed in range(300):
+            instance = random_instance(seed, policy=POLICIES[mode])
+            matches, _ = run_instance(instance)
+            for k, matching in enumerate([matches] + corruptions(instance, matches, seed)):
+                verdict = brute_force_pareto_oracle(instance, matching)
+                rows.append([mode, seed, k, verdict.ok, verdict.reason, verdict.counterexample])
+    return rows
+
+
 def paired_payload(which: str) -> list:
     (baseline, variant), _, _ = PAIRED_EXPERIMENTS[which]
     rows = experiment_paired_policies(desk_policy_config(n_requests=200), [0, 1], baseline, variant)
@@ -207,6 +265,14 @@ def test_manipulation_outputs(seed, fraction):
 @pytest.mark.parametrize("which", sorted(MISREPORT_DIGESTS))
 def test_misreport_outputs(which):
     assert _digest(misreport_payload(which)) == MISREPORT_DIGESTS[which]
+
+
+def test_pareto_verdicts():
+    rows = pareto_verdict_payload()
+    assert len({row[4] for row in rows}) == 5
+    # insertion order kept: a counterexample assignment lists the produced
+    # pairs first
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PARETO_VERDICT_DIGEST
 
 
 @pytest.mark.parametrize("which", sorted(PAIRED_DIGESTS))

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from foodmatch import engine
-from foodmatch.engine import MatchingEngine, MatchPolicy
+from foodmatch import engine, oracles
+from foodmatch.engine import MatchingEngine, MatchPolicy, gated
 from foodmatch.experiments import desk_policy_config
 from foodmatch.geometry import DeliveryRecord, distance
 from foodmatch.model import (
@@ -141,6 +142,31 @@ class TestAssignmentOracle:
             assert verdict.ok, f"seed {seed}: {verdict.describe()}"
             pairs += sum(1 for m in matches if m.receiver is not None)
         assert pairs == served
+
+    def test_each_pair_is_tested_once(self, monkeypatch):
+        # every check reads one table of feasible pairs: the predicate runs
+        # once per (gated donor, gated receiver) pair, on the produced
+        # matching and on one with a dropped match alike
+        tested = Counter()
+        predicate = oracles._OracleWorld.pair_feasible
+
+        def counted(world, d, r, vicinity, volunteer):
+            tested[d.id, r.id] += 1
+            return predicate(world, d, r, vicinity, volunteer)
+
+        monkeypatch.setattr(oracles._OracleWorld, "pair_feasible", counted)
+        judged = 0
+        for seed in range(40):
+            instance = random_instance(seed)
+            matches, _ = run_instance(instance)
+            donors = gated(oracles._meals(instance), instance.now, TH)
+            receivers = gated(instance.receivers, instance.now, TH)
+            for matching in (matches, matches[1:]):
+                tested.clear()
+                brute_force_pareto_oracle(instance, matching)
+                assert tested == Counter({(d.id, r.id): 1 for d in donors for r in receivers}), seed
+                judged += len(tested)
+        assert judged == 738
 
     def test_restricted_volunteers_keep_to_their_receivers(self):
         # random_instance never restricts a volunteer; restricting every
@@ -370,6 +396,11 @@ class TestTrueRank:
 
     def test_best_of_many(self):
         assert true_rank((5, 7, 9), [9, 5]) == 1
+
+    def test_first_listing_counts(self):
+        # a partner listed twice ranks at its first entry, as list.index does
+        assert true_rank((7, 3, 7), (7, 3)) == 1
+        assert true_rank((3, 7, 3), (3,)) == 1
 
 
 def partners_of(matches):

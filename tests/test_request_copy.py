@@ -4,8 +4,8 @@ Runs and oracle probes deep-copy their requests before mutating run-time
 state. A request's copy is a new object whose slots are bound to the
 original's field values; that is safe only while every field value is
 immutable and runs only rebind the run-time fields, which these tests pin
-down. The request and match records are slotted, so none of them carries a
-per-instance ``__dict__``.
+down. The request and match records, display groups and delivery records are
+slotted, so none of them carries a per-instance ``__dict__``.
 """
 
 import copy
@@ -15,19 +15,23 @@ from dataclasses import fields
 import pytest
 from test_scenario import scenario_text
 
+from foodmatch import scenario as scenario_module
+from foodmatch.engine import DisplayGroup
 from foodmatch.experiments import desk_policy_config, desk_volunteer_sweep_config
+from foodmatch.geometry import off_route_overhead
 from foodmatch.model import (
     DonationRequest,
     FoodType,
     Location,
     Match,
+    Perishability,
     RequestId,
     RequirementRequest,
     TimeWindow,
     VolunteerRequest,
 )
 from foodmatch.oracles import random_instance, sized_instance
-from foodmatch.scenario import ScenarioConfig, TimedRequest, generate_scenario, scenario_from_dict
+from foodmatch.scenario import ScenarioConfig, TimedRequest, generate_scenario
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
 RUN_TIME_FIELDS = {"arrival", "remaining_amount", "remaining_payload"}
@@ -63,9 +67,9 @@ SOURCES = {
     "deadlines": lambda: _scenario_requests(desk_policy_config(seed=3, n_requests=300)),
     "from_json": lambda: [
         t.request
-        for t in scenario_from_dict(
+        for t in scenario_module._scenario(
             json.loads(scenario_text(generate_scenario(ScenarioConfig(n_requests=200, seed=8))))
-        ).requests
+        )[0].requests
     ],
     "random_instance": lambda: [r for seed in range(20) for r in _instance_requests(random_instance(seed))],
     "sized_instance": lambda: _instance_requests(sized_instance(7, 12, 12, 6)),
@@ -123,8 +127,11 @@ class TestSlots:
     def test_records_have_no_instance_dict(self):
         donor, receiver, volunteer = one_of_each()
         match = Match(donor=donor.id, volunteer=volunteer.id, receiver=receiver.id, vicinity=5.0)
+        group = DisplayGroup(id=1, donor_agent=donor.id.agent_id, volunteer=volunteer.id, receiver=receiver.id,
+                             matches=[match], total_amount=900, created_at=600, food=Perishability.PERISHABLE)
+        delivery = off_route_overhead(volunteer.route_start, volunteer.route_end, donor.location, receiver.location)
         records = [donor, receiver, volunteer, match, TimedRequest(submit_at=400, request=donor),
-                   donor.location, donor.window, donor.id]
+                   donor.location, donor.window, donor.id, group, delivery]
         for record in records + copy.deepcopy(records):
             assert not hasattr(record, "__dict__"), type(record).__name__
 

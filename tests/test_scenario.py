@@ -17,7 +17,6 @@ from foodmatch.scenario import (
     load_scenario,
     read_scenario,
     save_scenario,
-    scenario_from_dict,
     with_volunteer_count,
 )
 
@@ -141,7 +140,7 @@ class TestRoundTrip:
 
     def test_unknown_request_type_rejected(self):
         with pytest.raises(ValueError, match="unknown request type"):
-            scenario_from_dict(json.loads(
+            scenario_module._scenario(json.loads(
                 '{"config": {}, "requests": [{"type": "nonsense", "agent_id": 1, "submit_at": 0, "window": [0, 1]}]}'
             ))
 
@@ -150,7 +149,8 @@ class TestRoundTrip:
         text = scenario_text(scenario)
         indented = json.dumps(json.loads(text), indent=1, sort_keys=True)
         assert "\n" not in text and "\n" in indented
-        assert scenario_from_dict(json.loads(indented)) == scenario_from_dict(json.loads(text)) == scenario
+        parse = scenario_module._scenario
+        assert parse(json.loads(indented)) == parse(json.loads(text)) == (scenario, None)
 
     def test_single_line_file_is_smaller_than_indented(self, tmp_path):
         scenario = generate_scenario(ScenarioConfig(n_requests=5000, seed=4))
@@ -217,7 +217,7 @@ def _outcome(read):
 
 def _whole_text(path):
     payload = json.loads(path.read_text())
-    scenario = scenario_from_dict(payload)
+    scenario, _ = scenario_module._scenario(payload)
     return scenario, finite_number(payload["at"], "at", integral=True) if "at" in payload else None
 
 
@@ -289,7 +289,7 @@ class TestStreamingReader:
         monkeypatch.setattr(scenario_module.json, "loads", lambda text: parsed.append(text) or loads(text))
         scenario, at = read_scenario(path)
         assert (at, len(parsed)) == (600, 1)
-        assert scenario == scenario_from_dict({"requests": _INSTANCE_RECORDS})
+        assert scenario == scenario_module._scenario({"requests": _INSTANCE_RECORDS})[0]
 
     @pytest.mark.parametrize("at", ["600", 600.0, True, [600], None])
     def test_minute_must_be_an_integer(self, at, tmp_path):
