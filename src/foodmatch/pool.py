@@ -26,6 +26,10 @@ from .model import (
     VolunteerRequest,
 )
 
+# the most meals one donation may split into: a larger amount is refused
+# before a piece is built
+MAX_MEALS = 10**6
+
 
 class ActivePool:
     """Queue of active, unmatched requests keyed by arrival order.
@@ -93,11 +97,13 @@ def split_into_meals(raw: DonationRequest, t_m: int) -> list[DonationRequest]:
     Donations under twice the threshold stay whole. Otherwise the donation
     becomes k = floor(amount / t_m) pieces: the first k-1 at exactly t_m
     grams and the last absorbing the remainder, so every piece lands in
-    [t_m, 2*t_m).
+    [t_m, 2*t_m). More than MAX_MEALS pieces raise ValueError.
     """
     if raw.amount < 2 * t_m:
         return [raw]
     k = raw.amount // t_m
+    if k > MAX_MEALS:
+        raise ValueError(f"donation {raw.id} splits into more than {MAX_MEALS} meals")
     amounts = [t_m] * (k - 1) + [raw.amount - t_m * (k - 1)]
     return [
         replace(raw, id=RequestId(raw.id.agent_id, raw.id.request_seq, seq), amount=amount)

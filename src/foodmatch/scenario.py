@@ -47,6 +47,9 @@ from .model import (
 
 PACKAGING = ("box", "bag", "crate", "tin", "tray")
 
+# the most requests, and agents of one role, a config may ask the generator for
+MAX_REQUESTS = 10**7
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -106,6 +109,8 @@ class ScenarioConfig:
             raise ValueError("infeasible scenario: empty city")
         if min(self.counts()) < 0:
             raise ValueError("infeasible scenario: negative role count")
+        if max(self.n_requests, *self.counts()) > MAX_REQUESTS:
+            raise ValueError(f"infeasible scenario: more than {MAX_REQUESTS} requests or agents of one role")
         if not self.food_types or min(self.preference_lengths, default=-1) < 0:
             raise ValueError("infeasible scenario: no food types or preference lengths")
         # [low, high] settings and the least low each allows: grams must be

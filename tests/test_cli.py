@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from foodmatch import cli
+from foodmatch import cli, pool
+from foodmatch import scenario as scenario_module
 from foodmatch.cli import load_instance, main
 from foodmatch.model import Match, RequestId
 from foodmatch.oracles import sized_instance
@@ -181,6 +182,22 @@ class TestExperiments:
         assert (out / "fig8d.csv").exists() and (out / "fig8d.svg").exists()
         header = (out / "fig8d.csv").read_text().splitlines()[0]
         assert header == "agent_id,role,truthful_rank,manipulated_rank,gain,exception"
+
+
+    def test_fig8d_with_no_manipulators(self, small_scenario, tmp_path, capsys):
+        # an empty report has a mean gain and an exception rate of zero
+        out = tmp_path / "fig8d"
+        assert run_cli(
+            "experiment", "fig8d", "--scenario", str(small_scenario),
+            "--fraction", "0", "--out", str(out), "--tick", "10",
+        ) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out}/fig8d.csv, fig8d.svg: 0 manipulators, mean gain 0.0000, "
+            "exception rate 0.00%, hard violations 0"
+        ]
+        assert (out / "fig8d.csv").read_text().splitlines() == [
+            "agent_id,role,truthful_rank,manipulated_rank,gain,exception"]
+        assert "<polyline" not in (out / "fig8d.svg").read_text()
 
 
 class TestOracleCommands:
@@ -483,8 +500,8 @@ class TestMalformedInput:
 
     # a file's integers are unbounded; these are too large to use, and fail at once
     @pytest.mark.parametrize("command, message", [
-        (["run"], "cannot fit 'int' into an index-sized integer"),
-        (["oracle", "pareto"], "cannot fit 'int' into an index-sized integer"),
+        (["run"], "donation 1.1 splits into more than 1000000 meals"),
+        (["oracle", "pareto"], "donation 1.1 splits into more than 1000000 meals"),
         (["experiment", "fig8a"], "int too large to convert to float"),
         (["experiment", "fig8b", "--seeds", "1"], "int too large to convert to float"),
     ], ids=["run-amount", "pareto-amount", "fig8a-n-requests", "fig8b-n-requests"])
@@ -502,6 +519,56 @@ class TestMalformedInput:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", [["run"], ["oracle", "pareto"], ["oracle", "strategyproof"]])
+    @pytest.mark.parametrize("streamed", [True, False], ids=["stream", "whole-text"])
+    def test_donation_past_the_meal_bound_exits_one(self, command, streamed, tmp_path, capsys, monkeypatch):
+        # one meal past the bound, in the writer's layout and in a layout the
+        # reader parses whole; a piece built would mean the bound let it by
+        monkeypatch.setattr(pool, "replace", lambda *args, **kwargs: pytest.fail("a meal was split"))
+        parses = []
+        loads = scenario_module.json.loads
+        monkeypatch.setattr(scenario_module.json, "loads", lambda text: parses.append(text) or loads(text))
+        records = json.dumps([_valid_record(amount=(pool.MAX_MEALS + 1) * 500)])
+        config = json.dumps({"thresholds": {"t_m": 500}})
+        path = tmp_path / "huge.json"
+        layout = '{"config": %s, "requests": %s}' if streamed else '{"requests": %s, "config": %s}'
+        path.write_text(layout % ((config, records) if streamed else (records, config)))
+        out = tmp_path / "out"
+        argv = [*command, "--instance", str(path)] if command[0] == "oracle" else [
+            *command, "--scenario", str(path), "--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: donation 1.1 splits into more than 1000000 meals"]
+        assert (len(parses), out.exists()) == (0 if streamed else 1, False)
+
+    @pytest.mark.parametrize("counts", [
+        {"n_requests": 10 ** 7 + 1},
+        {"n_donors": 10 ** 7 + 1, "n_receivers": 1, "n_volunteers": 1},
+        {"n_donors": 1, "n_receivers": 10 ** 7 + 1, "n_volunteers": 1},
+        {"n_donors": 1, "n_receivers": 1, "n_volunteers": 10 ** 7 + 1},
+    ], ids=["requests", "donors", "receivers", "volunteers"])
+    @pytest.mark.parametrize("streamed", [True, False], ids=["stream", "whole-text"])
+    def test_counts_past_the_bound_exit_one(self, streamed, counts, tmp_path, capsys, monkeypatch):
+        # fig8b regenerates the file's config; without the bound the
+        # generator's first random stream would fail the test
+        monkeypatch.setattr(scenario_module, "random", None)
+        records = json.dumps([_valid_record()])
+        config = json.dumps(counts)
+        path = tmp_path / "huge.json"
+        path.write_text('{"config": %s, "requests": %s}' % (config, records) if streamed
+                        else '{"requests": %s, "config": %s}' % (records, config))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "fig8b", "--scenario", str(path), "--out", str(out), "--seeds", "1") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: infeasible scenario: more than 10000000 requests or agents of one role"]
+
+    def test_generate_past_the_request_bound_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenario_module, "random", None)
+        out = tmp_path / "s.json"
+        assert run_cli("generate", "--requests", str(10 ** 7 + 1), "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: infeasible scenario: more than 10000000 requests or agents of one role"]
+        assert not out.exists()
 
     def test_string_threshold_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

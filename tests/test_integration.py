@@ -15,7 +15,7 @@ from foodmatch.model import (
     TimeWindow,
     VolunteerRequest,
 )
-from foodmatch.output import render_line_chart, write_csv
+from foodmatch.output import PALETTE, render_line_chart, write_csv
 from foodmatch.pool import ActivePool, submit_request
 from foodmatch.scenario import ScenarioConfig, generate_scenario
 from foodmatch.simulate import AcceptanceModel, run_simulation
@@ -127,6 +127,15 @@ class TestOutput:
         assert rows == [["a", "b"]]
         svg = render_line_chart([("nothing", [])], "empty", "x", "y")
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_empty_series_is_skipped_in_its_palette_slot(self):
+        svg = render_line_chart([("gone", []), ("kept", [(0, 1), (2, 3)])], "t", "x", "y")
+        assert "gone" not in svg
+        assert (svg.count("<polyline"), svg.count("<circle")) == (1, 2)
+        # the second series keeps the second colour and the second label row
+        assert (f'<text x="614" y="72" text-anchor="end" font-family="sans-serif" '
+                f'font-size="12" fill="{PALETTE[1]}">kept</text>') in svg.splitlines()
+        assert PALETTE[0] not in svg
 
     def test_csv_is_rfc4180_quoted(self, tmp_path):
         path = tmp_path / "q.csv"

@@ -6,6 +6,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from foodmatch import pool as pool_module
 from foodmatch.model import (
     DonationRequest,
     FoodType,
@@ -114,6 +115,19 @@ class TestSplitting:
     def test_invalid_amount_rejected(self):
         with pytest.raises(ValueError, match="invalid amount"):
             submit_request(donation(amount=-5), ActivePool(), TH)
+
+    def test_meal_bound_is_inclusive(self, monkeypatch):
+        # a lowered bound, so that the donation at it stays small
+        monkeypatch.setattr(pool_module, "MAX_MEALS", 3)
+        assert [p.amount for p in split_into_meals(donation(amount=3999), TH.t_m)] == [1000, 1000, 1999]
+        with pytest.raises(ValueError, match=r"^donation 1\.1 splits into more than 3 meals$"):
+            split_into_meals(donation(amount=4000), TH.t_m)
+
+    def test_donation_past_the_meal_bound_refused_before_splitting(self):
+        pool = ActivePool()
+        with pytest.raises(ValueError, match=r"^donation 1\.1 splits into more than 1000000 meals$"):
+            submit_request(donation(amount=(pool_module.MAX_MEALS + 1) * TH.t_m), pool, TH)
+        assert pool.drain() == []
 
 
 class TestDrain:

@@ -1,6 +1,7 @@
 """Scenario generation: determinism, bounds, coherence, file round-trip."""
 
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from test_cli import MALFORMED
 
 from foodmatch import scenario as scenario_module
-from foodmatch.model import DonationRequest, RequirementRequest, VolunteerRequest
+from foodmatch.model import DonationRequest, Location, RequirementRequest, VolunteerRequest
 from foodmatch.scenario import (
     Scenario,
     ScenarioConfig,
@@ -37,6 +38,23 @@ def split_roles(scenario):
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("counts", [
+        {"n_requests": 10 ** 7},
+        {"n_donors": 10 ** 7, "n_receivers": 10 ** 7, "n_volunteers": 10 ** 7},
+    ], ids=["requests", "roles"])
+    def test_counts_at_the_bound_validate(self, counts):
+        ScenarioConfig(**counts).validate()
+
+    @pytest.mark.parametrize("counts", [
+        {"n_requests": 10 ** 7 + 1},
+        {"n_donors": 10 ** 7 + 1, "n_receivers": 0, "n_volunteers": 0},
+        {"n_donors": 0, "n_receivers": 10 ** 7 + 1, "n_volunteers": 0},
+        {"n_donors": 0, "n_receivers": 0, "n_volunteers": 10 ** 7 + 1},
+    ], ids=["requests", "donors", "receivers", "volunteers"])
+    def test_counts_past_the_bound_refused(self, counts):
+        with pytest.raises(ValueError, match=r"^infeasible scenario: more than 10000000 requests or agents of one role$"):
+            ScenarioConfig(**counts).validate()
+
     def test_deterministic_per_seed(self):
         config = ScenarioConfig(n_requests=100, seed=42)
         assert scenario_text(generate_scenario(config)) == scenario_text(generate_scenario(config))
@@ -127,6 +145,33 @@ class TestGeneration:
         ry = sum(t.request.location.y for t in receivers) / len(receivers)
         separation = ((dx - rx) ** 2 + (dy - ry) ** 2) ** 0.5
         assert 9.0 <= separation <= 18.0
+
+
+    def test_receiver_hub_falls_back_after_300_draws(self):
+        # a separation ring no point of the city reaches: each receiver hub
+        # is the draw after 300 rejected candidates
+        config = ScenarioConfig(donor_hubs=2, receiver_hubs=2, hub_separation=(1000.0, 1000.0), seed=3)
+        rng = random.Random("3:hubs")
+
+        def draw():
+            return Location(round(rng.uniform(5.0, 45.0), 4), round(rng.uniform(5.0, 45.0), 4))
+
+        donor_hubs = [draw() for _ in range(2)]
+        receiver_hubs = []
+        for _ in range(2):
+            for _ in range(300):
+                draw()
+            receiver_hubs.append(draw())
+        assert scenario_module._hub_centers(config) == (donor_hubs, receiver_hubs)
+
+    def test_volunteer_routes_end_anywhere_without_receivers(self):
+        config = ScenarioConfig(n_donors=2, n_receivers=0, n_volunteers=3, seed=5)
+        _, _, vols = split_roles(generate_scenario(config))
+        assert [(t.request.route_end, t.request.receivers) for t in vols] == [
+            (Location(48.3327, 5.1093), ()),
+            (Location(14.5857, 38.3022), ()),
+            (Location(3.7365, 11.757), ()),
+        ]
 
 
 class TestRoundTrip:

@@ -76,6 +76,22 @@ class TestToyRuns:
         assert report.match_counts["expired"] >= 1
         assert report.lifecycle_consistent
 
+    def test_empty_scenario_ticks_through_the_working_day(self, monkeypatch):
+        # with nothing scheduled the clock starts at working_start and runs
+        # to working_end, matching nothing
+        minutes = []
+        iterate = simulate.MatchingEngine.iterate
+        monkeypatch.setattr(simulate.MatchingEngine, "iterate",
+                            lambda engine, now: minutes.append(now) or iterate(engine, now))
+        config = ScenarioConfig(n_requests=0, working_start=600, working_end=660)
+        report = run_simulation(Scenario(config=config, requests=[]), tick_minutes=10)
+        assert minutes == [600, 610, 620, 630, 640, 650, 660]
+        assert report.counts == {"donors": 0, "receivers": 0, "volunteers": 0, "meals": 0}
+        assert set(report.allocation.values()) == {0.0}
+        assert (report.served_grams, report.requested_grams, report.fulfillment_pct) == (0, 0, 0.0)
+        assert (report.deliveries, report.terminal_states, report.accepted_groups) == ([], {}, [])
+        assert report.lifecycle_consistent
+
     def test_max_iterations_guard(self, monkeypatch):
         monkeypatch.setattr(simulate, "MAX_ITERATIONS", 3)
         with pytest.raises(RuntimeError, match="did not settle"):
