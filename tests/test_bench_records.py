@@ -81,3 +81,60 @@ def test_benchmark_difference_names_the_first_differing_file(tmp_path):
     extra = _tree(tmp_path / "extra", extra="perfbench/workload_new.py")
     assert difference(parent, extra) == "perfbench/workload_new.py"
     assert difference(extra, parent) == "perfbench/workload_new.py"
+
+
+def _traced_run(distance_calls, correct=True):
+    return {"correct": correct, "attempted": 3, "failed": 0 if correct else 3, "machine": {"nproc": 2},
+            "metrics": {"geometry.distance_calls": {"value": distance_calls, "unit": "count"},
+                        "run_wall_s": {"value": 0.5, "unit": "s"}}}
+
+
+def test_traced_entry_has_no_bound_and_marks_differing_counts():
+    bench_pairs = _bench_pairs()
+    commits = {"parent": {"commit": "a"}, "change": {"commit": "b", "dirty": False}}
+    metric = {"name": "geometry.distance_calls", "unit": "count", "better": "lower"}
+    same = bench_pairs.entry("oracle-probe", metric, {"parent": [_traced_run(7)] * 2, "change": [_traced_run(7)] * 2},
+                             commits)
+    assert (same["bound"], same["all_correct"], bench_pairs.counts_differ(same)) == (None, True, False)
+    moved = bench_pairs.entry("oracle-probe", metric,
+                              {"parent": [_traced_run(7)] * 2, "change": [_traced_run(7), _traced_run(8)]}, commits)
+    assert bench_pairs.counts_differ(moved)
+    timing = bench_pairs.entry("oracle-probe", {"name": "run_wall_s", "unit": "s", "better": "lower"},
+                               {"parent": [_traced_run(7)], "change": [_traced_run(8)]}, commits)
+    assert not bench_pairs.counts_differ(timing)
+
+
+def test_traced_pairs_keep_a_failed_run_and_exit_one(tmp_path, monkeypatch, capsys):
+    # the change's second run failed its self-time check: its values stay in
+    # the record, its ops count as failed, and the exit status is 1
+    bench_pairs = _bench_pairs()
+    bench = {"paths": ["perfbench"], "run_seconds": 1, "workloads": [{"name": "oracle-probe"}],
+             "end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}],
+             "per_layer": [{"name": "geometry.distance_calls", "unit": "count", "better": "lower"},
+                           {"name": "run_wall_s", "unit": "s", "better": "lower"}]}
+
+    def tree(_root, *args):
+        dest = args[-1]
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text("print('run')\n")
+        (dest / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    tree(None, tmp_path / "root")
+    replies = {"rev-parse": b"abc\n", "status": b""}
+    monkeypatch.setattr(bench_pairs, "git", lambda root, *args: (
+        str(tmp_path / "root").encode() if "--show-toplevel" in args else replies[args[0]]))
+    monkeypatch.setattr(bench_pairs, "copy_ref", tree)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", tree)
+    # pair 0 runs the parent first, pair 1 the change
+    traces, results = [], iter([_traced_run(7), _traced_run(7), _traced_run(9, correct=False), _traced_run(7)])
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, workload, seed, seconds, trace: traces.append(trace) or next(results))
+    record = tmp_path / "traced.json"
+    assert bench_pairs.main(["--trace", "1", "--pairs", "2", "--json", str(record)]) == 1
+    assert traces == [1, 1, 1, 1]
+    calls, wall = json.loads(record.read_text())["entries"]
+    assert (calls["metric"], calls["bound"], calls["all_correct"]) == ("geometry.distance_calls", None, False)
+    assert (calls["parent"]["values"], calls["change"]["values"]) == ([7, 7], [7, 9])
+    assert (calls["parent"]["failed_ops"], calls["change"]["failed_ops"]) == (0, 3)
+    summary = capsys.readouterr().out.splitlines()
+    assert [line.endswith("counts differ") for line in summary[1:]] == [True, False]

@@ -1,12 +1,15 @@
-"""Alternating parent/change pairs of the benchmark's end-to-end metrics.
+"""Alternating parent/change pairs of the benchmark's end-to-end or per-layer
+metrics.
 
 Copies a git ref (the parent, default HEAD) and the working tree (the
 change) into fresh temporary directories, without ``__pycache__`` or other
 ignored files, and runs ``perfbench/run.py --trace 0`` in each for N pairs
-per workload. Pair k runs both sides on seed k, and the side that goes first
+per workload; with ``--trace 1`` it runs ``perfbench/run.py --trace 1``
+instead and records the per-layer metrics. Pair k runs both sides on seed k, and the side that goes first
 alternates from pair to pair. Runs use ``PYTHONDONTWRITEBYTECODE=1``, so every
 set-up compiles the sources afresh. Workloads, end-to-end metrics, their
-directions and bounds, and the run length come from ``BENCHMARK.json``. Each
+directions and bounds (a per-layer metric has none), and the run length
+come from ``BENCHMARK.json``. Each
 side runs its own copy of the benchmark, so the script refuses to run when
 the two copies differ in ``BENCHMARK.json`` or in any file under its
 ``paths``: both sides must be judged by the same benchmark.
@@ -16,17 +19,20 @@ Run from anywhere inside the repository:
     python3 tools/bench_pairs.py --workload gate-slice --pairs 10
     python3 tools/bench_pairs.py --parent HEAD~1 --workload city-5k --pairs 5
     python3 tools/bench_pairs.py --parent HEAD~1 --json BENCH_13.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --trace 1 --workload oracle-probe
 
 Each run prints one progress line on stderr. The summary gives, per workload
 and metric, each side's median, the change's median minus the parent's, the
 parent's interquartile range, the benchmark's bound, and the pairs the change
-won (ties count for neither side). ``--json PATH`` also writes the record: one
-entry per workload and end-to-end metric, holding each side's commit, values
+won (ties count for neither side); a count metric whose values by pair differ
+between the sides is marked ``counts differ``. ``--json PATH`` also writes the
+record: one entry per workload and recorded metric, holding each side's commit, values
 by pair, median, interquartile range, failed ops and machine state per run
 (as ``perfbench/run.py`` prints it), the change's wins, the bound, and whether
 every run was correct. The exit status is 1 if any run failed or reported
-``"correct": false``, and 2, naming the first differing file, if the two
-benchmarks differ.
+``"correct": false``, as a traced run does whose spans' self times do not
+add up to its ops' time; such a run's values stay in the record. The exit
+status is 2, naming the first differing file, if the two benchmarks differ.
 """
 
 from __future__ import annotations
@@ -85,12 +91,12 @@ def benchmark_difference(a: Path, b: Path) -> str | None:
     return next((name for name in sorted(names) if _differs(a, b, name)), None)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run: its result line with the machine state of
-    the record line before it, or why it failed."""
+def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One benchmark run: its result line with the machine state of the
+    record line before it, or why it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -131,6 +137,11 @@ def entry(workload: str, metric: dict, runs: dict[str, list[dict]], commits: dic
     }
 
 
+def counts_differ(entry: dict) -> bool:
+    """Whether a count metric's values by pair differ between the sides."""
+    return entry["unit"] == "count" and entry["parent"]["values"] != entry["change"]["values"]
+
+
 def main(argv=None) -> int:
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     bench = json.loads((root / "BENCHMARK.json").read_text())
@@ -139,9 +150,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
                         help="repeat for several; default every workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 records the per-layer metrics of traced runs")
     parser.add_argument("--json", metavar="PATH", help="also write the record here, e.g. BENCH_<n>.json")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
     commits = {
         "parent": {"commit": git(root, "rev-parse", args.parent).decode().strip()},
         "change": {"commit": git(root, "rev-parse", "HEAD").decode().strip(),
@@ -162,12 +176,12 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(trees[side], workload, k, bench["run_seconds"])
+                    result = run_once(trees[side], workload, k, bench["run_seconds"], args.trace)
                     shown = " ".join(f"{name}={m['value']:.4f}" for name, m in result.get("metrics", {}).items())
                     line = f"{workload} pair {k} {side}: correct={result['correct']} {shown} {result.get('error', '')}"
                     print(line.rstrip(), file=sys.stderr)
                     runs[side].append(result)
-            entries.extend(entry(workload, m, runs, commits) for m in bench["end_to_end"])
+            entries.extend(entry(workload, m, runs, commits) for m in metrics)
 
     header = ("workload", "metric", "parent_median", "change_median", "delta", "parent_iqr", "bound", "change_wins")
     print("  ".join(f"{h:>14}" for h in header))
@@ -176,10 +190,11 @@ def main(argv=None) -> int:
         delta = change - parent if None not in (parent, change) else None
         row = (e["workload"], e["metric"], parent, change, delta, e["parent"]["iqr"], e["bound"],
                f"{e['change_wins']}/{e['pairs']}")
-        print("  ".join(f"{v:>14.4f}" if isinstance(v, float) else f"{v!s:>14}" for v in row))
+        line = "  ".join(f"{v:>14.4f}" if isinstance(v, float) else f"{v!s:>14}" for v in row)
+        print(line + ("  counts differ" if counts_differ(e) else ""))
     if args.json:
         record = {"parent_ref": args.parent, "pairs": args.pairs, "run_seconds": bench["run_seconds"],
-                  "entries": entries}
+                  "trace": args.trace, "entries": entries}
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all(e["all_correct"] for e in entries) else 1
 
