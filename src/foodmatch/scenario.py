@@ -17,9 +17,10 @@ amounts; one plan per class, built from its dataclass fields, both writes
 and reads them. The writer streams the file one record at a time. The reader
 returns the scenario and its "at" minute or None, or raises a one-line
 ValueError that names a bad request record by its index; it validates every
-field, keeps every minute inside [0, working_end], and refuses unknown keys. A file in the writer's layout is
-streamed, config first, then one record at a time from fixed-size text
-chunks, with equal integers sharing one int object. Other files parse whole.
+field, keeps every minute inside [0, working_end], and refuses unknown keys.
+A file in the writer's layout is streamed, config first, then one record at
+a time from fixed-size text chunks, with equal integers sharing one int
+object. Other files parse whole.
 """
 
 from __future__ import annotations
