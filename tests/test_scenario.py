@@ -52,7 +52,8 @@ class TestGeneration:
         {"n_donors": 0, "n_receivers": 0, "n_volunteers": 10 ** 7 + 1},
     ], ids=["requests", "donors", "receivers", "volunteers"])
     def test_counts_past_the_bound_refused(self, counts):
-        with pytest.raises(ValueError, match=r"^infeasible scenario: more than 10000000 requests or agents of one role$"):
+        message = r"^infeasible scenario: more than 10000000 requests or agents of one role$"
+        with pytest.raises(ValueError, match=message):
             ScenarioConfig(**counts).validate()
 
     def test_deterministic_per_seed(self):

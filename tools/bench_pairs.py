@@ -5,14 +5,14 @@ Copies a git ref (the parent, default HEAD) and the working tree (the
 change) into fresh temporary directories, without ``__pycache__`` or other
 ignored files, and runs ``perfbench/run.py --trace 0`` in each for N pairs
 per workload; with ``--trace 1`` it runs ``perfbench/run.py --trace 1``
-instead and records the per-layer metrics. Pair k runs both sides on seed k, and the side that goes first
-alternates from pair to pair. Runs use ``PYTHONDONTWRITEBYTECODE=1``, so every
-set-up compiles the sources afresh. Workloads, end-to-end metrics, their
-directions and bounds (a per-layer metric has none), and the run length
-come from ``BENCHMARK.json``. Each
-side runs its own copy of the benchmark, so the script refuses to run when
-the two copies differ in ``BENCHMARK.json`` or in any file under its
-``paths``: both sides must be judged by the same benchmark.
+instead and records the per-layer metrics. Pair k runs both sides on seed k,
+and the side that goes first alternates from pair to pair. Runs use
+``PYTHONDONTWRITEBYTECODE=1``, so every set-up compiles the sources afresh.
+Workloads, metrics, their directions and bounds (a per-layer metric has
+none), and the run length come from ``BENCHMARK.json``. Each side runs its
+own copy of the benchmark, so the script refuses to run when the two copies
+differ in ``BENCHMARK.json`` or in any file under its ``paths``: both sides
+must be judged by the same benchmark.
 
 Run from anywhere inside the repository:
 
@@ -25,14 +25,15 @@ Each run prints one progress line on stderr. The summary gives, per workload
 and metric, each side's median, the change's median minus the parent's, the
 parent's interquartile range, the benchmark's bound, and the pairs the change
 won (ties count for neither side); a count metric whose values by pair differ
-between the sides is marked ``counts differ``. ``--json PATH`` also writes the
-record: one entry per workload and recorded metric, holding each side's commit, values
-by pair, median, interquartile range, failed ops and machine state per run
-(as ``perfbench/run.py`` prints it), the change's wins, the bound, and whether
-every run was correct. The exit status is 1 if any run failed or reported
-``"correct": false``, as a traced run does whose spans' self times do not
-add up to its ops' time; such a run's values stay in the record. The exit
-status is 2, naming the first differing file, if the two benchmarks differ.
+between the sides is marked ``counts differ``. ``--json PATH`` also writes
+the record: one entry per workload and recorded metric, holding each side's
+commit, values by pair, median, interquartile range, failed ops and machine
+state per run (as ``perfbench/run.py`` prints it), the change's wins, the
+bound, and whether every run was correct. The exit status is 1 if any run
+failed or reported ``"correct": false``, as a traced run does whose spans'
+self times do not add up to its ops' time; such a run's values stay in the
+record. The exit status is 2, naming the first differing file, if the two
+benchmarks differ.
 """
 
 from __future__ import annotations
