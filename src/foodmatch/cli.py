@@ -256,6 +256,10 @@ def _write_figure(out: Path, name: str, header: Sequence[str], rows: Sequence[Se
 def _cmd_experiment(args) -> int:
     scenario = _load_scenario_with_overrides(args)
     config = scenario.config
+    # fig8a-c build their populations from the config alone, so the file's
+    # requests are not held through their runs; only fig8d runs them
+    if args.which != "fig8d":
+        scenario = None
     # before any scenario is built, and when --seeds 0 runs nothing
     check_tick(args.tick)
     if args.which in PAIRED_EXPERIMENTS and args.seeds < 0:

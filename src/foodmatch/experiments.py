@@ -2,9 +2,11 @@
 
 Paired comparisons always reuse the same population: policy experiments run
 one scenario under both policies, and the volunteer-availability sweep
-regenerates only the volunteer pool, whose random stream is prefix-stable,
-so a larger pool literally contains the smaller one. That keeps each
-comparison a controlled experiment rather than two unrelated draws.
+generates one population with the largest pool it needs and runs each point
+on a prefix of that pool. The volunteer stream is prefix-stable, so each
+point gets exactly the requests a fresh generation with its own pool would
+give. That keeps each comparison a controlled experiment rather than two
+unrelated draws.
 """
 
 from __future__ import annotations
@@ -92,16 +94,23 @@ def experiment_allocation_vs_volunteers(
     """
     if not multiples or not all(0 <= m < math.inf for m in multiples):
         raise ValueError("multiples must be non-empty, finite and non-negative")
-    n_d, _, _ = config.counts()
+    n_d, n_r, _ = config.counts()
+    pools = [round(multiple * n_d) for multiple in multiples]
+    population = generate_scenario(with_volunteer_count(config, max(pools)))
     points = []
-    for multiple in multiples:
-        cfg = with_volunteer_count(config, round(multiple * n_d))
-        scenario = generate_scenario(cfg)
+    for multiple, pool in zip(multiples, pools):
+        # volunteers are numbered after receivers and donors, so a point keeps
+        # every agent numbered up to n_r + n_d + pool, in generation order
+        last_agent = n_r + n_d + pool
+        scenario = Scenario(
+            config=with_volunteer_count(config, pool),
+            requests=[timed for timed in population.requests if timed.request.id.agent_id <= last_agent],
+        )
         report = run_simulation(scenario, tick_minutes=tick_minutes)
         points.append(
             CurvePoint(
                 multiple=multiple,
-                n_volunteers=cfg.counts()[2],
+                n_volunteers=pool,
                 allocation_pct=report.allocation["food_requests"],
                 receiver_fulfillment_pct=report.fulfillment_pct,
             )

@@ -16,6 +16,13 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
+# the benchmark of the fake repository that tools/bench_pairs.py main runs on
+BENCH = {"paths": ["perfbench"], "run_seconds": 1, "workloads": [{"name": "oracle-probe"}],
+         "end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}],
+         "per_layer": [{"name": "geometry.distance_calls", "unit": "count", "better": "lower"},
+                       {"name": "run_wall_s", "unit": "s", "better": "lower"}]}
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
@@ -71,6 +78,24 @@ def _tree(root, extra=None):
     return root
 
 
+def _fake_repository(bench_pairs, tmp_path, monkeypatch, changed=None):
+    """Point main at a repository of the ``BENCH`` benchmark whose parent and
+    working trees are copied from ``_tree``; ``changed`` maps a file of the
+    working tree to its new text."""
+    def tree(dest, files):
+        _tree(dest)
+        (dest / "BENCHMARK.json").write_text(json.dumps(BENCH))
+        for name, text in files.items():
+            (dest / name).write_text(text)
+
+    tree(tmp_path / "root", {})
+    replies = {"rev-parse": b"abc\n", "status": b""}
+    monkeypatch.setattr(bench_pairs, "git", lambda root, *args: (
+        str(tmp_path / "root").encode() if "--show-toplevel" in args else replies[args[0]]))
+    monkeypatch.setattr(bench_pairs, "copy_ref", lambda root, ref, dest: tree(dest, {}))
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda root, dest: tree(dest, changed or {}))
+
+
 def test_benchmark_difference_names_the_first_differing_file(tmp_path):
     difference = _bench_pairs().benchmark_difference
     parent = _tree(tmp_path / "parent")
@@ -81,6 +106,30 @@ def test_benchmark_difference_names_the_first_differing_file(tmp_path):
     extra = _tree(tmp_path / "extra", extra="perfbench/workload_new.py")
     assert difference(parent, extra) == "perfbench/workload_new.py"
     assert difference(extra, parent) == "perfbench/workload_new.py"
+
+
+@pytest.mark.parametrize("flag", [[], ["--expected-differs"]], ids=["no-flag", "flag"])
+@pytest.mark.parametrize("changed", [
+    {"perfbench/expected.json": '{"digest": "abd"}'},
+    {"perfbench/expected.json": '{"digest": "abd"}', "perfbench/run.py": "print('moved')\n"},
+    {"perfbench/expected.json": '{"digest": "abd"}', "perfbench/workload_new.py": ""},
+    {"BENCHMARK.json": json.dumps(dict(BENCH, run_seconds=2))},
+], ids=["digests", "digests-and-runner", "digests-and-new-file", "benchmark-json"])
+def test_pairs_across_a_digest_re_record_only_with_the_flag(flag, changed, tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    _fake_repository(bench_pairs, tmp_path, monkeypatch, changed)
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, workload, seed, seconds, trace: runs.append(tree.name) or _run(1.0))
+    record = tmp_path / "record.json"
+    code = bench_pairs.main([*flag, "--pairs", "1", "--json", str(record)])
+    differing = sorted(set(changed) - ({"perfbench/expected.json"} if flag else set()))
+    if differing:
+        assert (code, runs, record.exists()) == (2, [], False)
+        assert capsys.readouterr().err == f"{differing[0]} differs between HEAD and the working tree\n"
+    else:
+        assert (code, runs) == (0, ["parent", "change"])
+        assert json.loads(record.read_text())["expected_differs"] is True
 
 
 def _traced_run(distance_calls, correct=True):
@@ -108,23 +157,7 @@ def test_traced_pairs_keep_a_failed_run_and_exit_one(tmp_path, monkeypatch, caps
     # the change's second run failed its self-time check: its values stay in
     # the record, its ops count as failed, and the exit status is 1
     bench_pairs = _bench_pairs()
-    bench = {"paths": ["perfbench"], "run_seconds": 1, "workloads": [{"name": "oracle-probe"}],
-             "end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}],
-             "per_layer": [{"name": "geometry.distance_calls", "unit": "count", "better": "lower"},
-                           {"name": "run_wall_s", "unit": "s", "better": "lower"}]}
-
-    def tree(_root, *args):
-        dest = args[-1]
-        (dest / "perfbench").mkdir(parents=True)
-        (dest / "perfbench" / "run.py").write_text("print('run')\n")
-        (dest / "BENCHMARK.json").write_text(json.dumps(bench))
-
-    tree(None, tmp_path / "root")
-    replies = {"rev-parse": b"abc\n", "status": b""}
-    monkeypatch.setattr(bench_pairs, "git", lambda root, *args: (
-        str(tmp_path / "root").encode() if "--show-toplevel" in args else replies[args[0]]))
-    monkeypatch.setattr(bench_pairs, "copy_ref", tree)
-    monkeypatch.setattr(bench_pairs, "copy_working_tree", tree)
+    _fake_repository(bench_pairs, tmp_path, monkeypatch)
     # pair 0 runs the parent first, pair 1 the change
     traces, results = [], iter([_traced_run(7), _traced_run(7), _traced_run(9, correct=False), _traced_run(7)])
     monkeypatch.setattr(bench_pairs, "run_once",
@@ -132,7 +165,9 @@ def test_traced_pairs_keep_a_failed_run_and_exit_one(tmp_path, monkeypatch, caps
     record = tmp_path / "traced.json"
     assert bench_pairs.main(["--trace", "1", "--pairs", "2", "--json", str(record)]) == 1
     assert traces == [1, 1, 1, 1]
-    calls, wall = json.loads(record.read_text())["entries"]
+    traced = json.loads(record.read_text())
+    assert traced["expected_differs"] is False
+    calls, wall = traced["entries"]
     assert (calls["metric"], calls["bound"], calls["all_correct"]) == ("geometry.distance_calls", None, False)
     assert (calls["parent"]["values"], calls["change"]["values"]) == ([7, 7], [7, 9])
     assert (calls["parent"]["failed_ops"], calls["change"]["failed_ops"]) == (0, 3)

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, outputs, exit codes, determinism."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from foodmatch import cli, pool
+from foodmatch import cli, experiments, pool
 from foodmatch import scenario as scenario_module
 from foodmatch.cli import load_instance, main
 from foodmatch.model import Match, RequestId
@@ -123,6 +125,50 @@ class TestExperiments:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: multiples must be non-empty, finite and non-negative"]
         assert not (out / "fig8a.csv").exists()
+
+    def test_fig8a_pool_past_the_bound_exits_one_before_any_run(self, small_scenario, tmp_path, capsys, monkeypatch):
+        # the largest pool is checked before the first point runs; the
+        # generator's first random stream would fail the test
+        monkeypatch.setattr(scenario_module, "random", None)
+        runs = []
+        monkeypatch.setattr(experiments, "run_simulation", lambda *args, **kwargs: runs.append(args))
+        n_d, _, _ = load_scenario(small_scenario).config.counts()
+        multiple = (10 ** 7 + 1) / n_d
+        assert round(multiple * n_d) == 10 ** 7 + 1
+        out = tmp_path / "fig8a"
+        assert run_cli("experiment", "fig8a", "--scenario", str(small_scenario),
+                       "--multiples", f"1,{multiple!r}", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: infeasible scenario: more than 10000000 requests or agents of one role"]
+        assert runs == []
+        assert not (out / "fig8a.csv").exists()
+
+    # fig8a-c build their own populations from the file's config
+    @pytest.mark.parametrize("which, flags", [
+        ("fig8a", ["--multiples", "1"]), ("fig8b", ["--seeds", "1"]), ("fig8c", ["--seeds", "1"]),
+    ])
+    def test_file_scenario_released_before_the_first_run(self, which, flags, small_scenario, tmp_path, monkeypatch):
+        loaded, alive = [], []
+
+        def load(path):
+            scenario = load_scenario(path)
+            loaded.append(weakref.ref(scenario))
+            return scenario
+
+        run = experiments.run_simulation
+
+        def run_simulation(*args, **kwargs):
+            if not alive:
+                gc.collect()
+                alive.append(loaded[0]() is not None)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_scenario", load)
+        monkeypatch.setattr(experiments, "run_simulation", run_simulation)
+        out = tmp_path / which
+        assert run_cli("experiment", which, "--scenario", str(small_scenario), *flags,
+                       "--out", str(out), "--tick", "10") == 0
+        assert (len(loaded), alive) == (1, [False])
 
     # config values that used to reach the generator's random draws and
     # crash there (IndexError, TypeError) or fail naming no field

@@ -1,7 +1,10 @@
 """Experiment drivers: sweep mechanics, paired runs, manipulation plumbing."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from foodmatch import experiments
 from foodmatch.engine import MatchPolicy
 from foodmatch.experiments import (
     desk_policy_config,
@@ -11,7 +14,7 @@ from foodmatch.experiments import (
     experiment_paired_policies,
     manipulate_scenario,
 )
-from foodmatch.scenario import generate_scenario, with_volunteer_count
+from foodmatch.scenario import ScenarioConfig, generate_scenario, with_volunteer_count
 from foodmatch.simulate import run_simulation
 
 
@@ -30,6 +33,28 @@ class TestVolunteerSweep:
         assert [p.multiple for p in points] == multiples
         n_d, _, _ = config.counts()
         assert [p.n_volunteers for p in points] == [round(m * n_d) for m in multiples]
+
+    # multiples that include 0, are unsorted and repeat, on four corridor
+    # seeds and one uniform city
+    @pytest.mark.parametrize("config", [
+        *(desk_volunteer_sweep_config(seed=seed, n_requests=120) for seed in range(4)),
+        ScenarioConfig(n_requests=150, seed=9),
+    ], ids=["corridor-0", "corridor-1", "corridor-2", "corridor-3", "uniform-9"])
+    def test_each_point_runs_what_a_fresh_generation_gives(self, config, monkeypatch):
+        generated, ran = [], []
+        generate = experiments.generate_scenario
+        monkeypatch.setattr(experiments, "generate_scenario", lambda cfg: generated.append(cfg) or generate(cfg))
+        report = SimpleNamespace(allocation={"food_requests": 0.0}, fulfillment_pct=0.0)
+        monkeypatch.setattr(experiments, "run_simulation", lambda scenario, tick_minutes: ran.append(scenario) or report)
+        multiples = (2, 0, 0.25, 2, 4)
+        experiment_allocation_vs_volunteers(config, multiples)
+        assert len(generated) == 1
+        n_d, _, _ = config.counts()
+        assert len(ran) == len(multiples)
+        for multiple, scenario in zip(multiples, ran):
+            fresh = generate(with_volunteer_count(config, round(multiple * n_d)))
+            assert scenario.config == fresh.config
+            assert scenario.requests == fresh.requests
 
     def test_invalid_multiples_rejected(self):
         config = desk_volunteer_sweep_config(seed=0, n_requests=60)

@@ -12,7 +12,10 @@ Workloads, metrics, their directions and bounds (a per-layer metric has
 none), and the run length come from ``BENCHMARK.json``. Each side runs its
 own copy of the benchmark, so the script refuses to run when the two copies
 differ in ``BENCHMARK.json`` or in any file under its ``paths``: both sides
-must be judged by the same benchmark.
+must be judged by the same benchmark. The one exception is a change that
+re-records output digests: with ``--expected-differs`` the two copies may
+also differ in ``perfbench/expected.json``, each side then checks its ops
+against its own copy, and the record says so.
 
 Run from anywhere inside the repository:
 
@@ -20,6 +23,7 @@ Run from anywhere inside the repository:
     python3 tools/bench_pairs.py --parent HEAD~1 --workload city-5k --pairs 5
     python3 tools/bench_pairs.py --parent HEAD~1 --json BENCH_13.json
     python3 tools/bench_pairs.py --parent HEAD~1 --trace 1 --workload oracle-probe
+    python3 tools/bench_pairs.py --parent HEAD~1 --expected-differs --json BENCH_<n>.json
 
 Each run prints one progress line on stderr. The summary gives, per workload
 and metric, each side's median, the change's median minus the parent's, the
@@ -29,7 +33,8 @@ between the sides is marked ``counts differ``. ``--json PATH`` also writes
 the record: one entry per workload and recorded metric, holding each side's
 commit, values by pair, median, interquartile range, failed ops and machine
 state per run (as ``perfbench/run.py`` prints it), the change's wins, the
-bound, and whether every run was correct. The exit status is 1 if any run
+bound, and whether every run was correct; its ``expected_differs`` says
+whether the flag was given. The exit status is 1 if any run
 failed or reported ``"correct": false``, as a traced run does whose spans'
 self times do not add up to its ops' time; such a run's values stay in the
 record. The exit status is 2, naming the first differing file, if the two
@@ -49,6 +54,9 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+# the recorded output digests, which a change that moves them re-records
+EXPECTED = "perfbench/expected.json"
 
 
 def git(root: Path, *args: str) -> bytes:
@@ -78,9 +86,10 @@ def _differs(a: Path, b: Path, name: str) -> bool:
     return not ((a / name).is_file() and (b / name).is_file() and (a / name).read_bytes() == (b / name).read_bytes())
 
 
-def benchmark_difference(a: Path, b: Path) -> str | None:
+def benchmark_difference(a: Path, b: Path, expected_differs: bool = False) -> str | None:
     """The first file, ``BENCHMARK.json`` or one under the paths it lists,
-    that differs between two trees or exists in one only; None if none."""
+    that differs between two trees or exists in one only; None if none.
+    With expected_differs, ``perfbench/expected.json`` may differ."""
     if _differs(a, b, "BENCHMARK.json"):
         return "BENCHMARK.json"
     names = set()
@@ -89,6 +98,8 @@ def benchmark_difference(a: Path, b: Path) -> str | None:
             root = tree / path
             files = [root] if root.is_file() else root.rglob("*")
             names.update(f.relative_to(tree).as_posix() for f in files if f.is_file())
+    if expected_differs:
+        names.discard(EXPECTED)
     return next((name for name in sorted(names) if _differs(a, b, name)), None)
 
 
@@ -153,6 +164,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1 records the per-layer metrics of traced runs")
+    parser.add_argument("--expected-differs", action="store_true",
+                        help=f"let the two trees differ in {EXPECTED}, each side checking its ops against its own")
     parser.add_argument("--json", metavar="PATH", help="also write the record here, e.g. BENCH_<n>.json")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
@@ -168,7 +181,7 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         copy_ref(root, args.parent, trees["parent"])
         copy_working_tree(root, trees["change"])
-        differing = benchmark_difference(trees["parent"], trees["change"])
+        differing = benchmark_difference(trees["parent"], trees["change"], args.expected_differs)
         if differing is not None:
             print(f"{differing} differs between {args.parent} and the working tree", file=sys.stderr)
             return 2
@@ -195,7 +208,7 @@ def main(argv=None) -> int:
         print(line + ("  counts differ" if counts_differ(e) else ""))
     if args.json:
         record = {"parent_ref": args.parent, "pairs": args.pairs, "run_seconds": bench["run_seconds"],
-                  "trace": args.trace, "entries": entries}
+                  "trace": args.trace, "expected_differs": args.expected_differs, "entries": entries}
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all(e["all_correct"] for e in entries) else 1
 
