@@ -1,7 +1,10 @@
-"""Brute-force oracles: off-routing bound, assignment checks, misreports."""
+"""Brute-force oracles: off-routing bound, assignment checks, misreports,
+and the plain volunteer-assignment reference."""
 
+import copy
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -9,13 +12,14 @@ import pytest
 
 from foodmatch import engine, oracles
 from foodmatch.engine import MatchingEngine, MatchPolicy, gated
-from foodmatch.experiments import desk_policy_config
+from foodmatch.experiments import desk_policy_config, desk_volunteer_sweep_config
 from foodmatch.geometry import DeliveryRecord, distance
 from foodmatch.model import (
     DonationRequest,
     FoodType,
     Location,
     Match,
+    Perishability,
     RequestId,
     RequirementRequest,
     Thresholds,
@@ -35,7 +39,7 @@ from foodmatch.oracles import (
     true_rank,
 )
 from foodmatch.pool import ActivePool, submit_request
-from foodmatch.scenario import ScenarioConfig, generate_scenario
+from foodmatch.scenario import ScenarioConfig, generate_scenario, with_volunteer_count
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
 TH = Thresholds()
@@ -265,19 +269,79 @@ class TestOneShotRun:
         assert brute_force_pareto_oracle(instance, matches).describe() == "pareto-ok"
 
 
+def reference_assign_volunteers(donors, vols, food, thresholds, receiver_universe):
+    """Plain volunteer assignment: each donor's (volunteer id or None, reach).
+
+    Every volunteer is scanned in arrival order, with no grid. The four tests
+    of volunteer_is_eligible are written out again in geometry's arithmetic
+    order, since their boundaries are inclusive. A donor's sticky volunteer
+    comes first while it stays eligible; otherwise a taken volunteer is
+    skipped and a later one wins only with a strictly longer reach. With no
+    eligible volunteer the class default applies, else the reach is the
+    candidate's, floored at the chosen transport's default. The scan spends
+    payload on its own copies of the volunteers.
+    """
+    def hypot(a, b):
+        return math.hypot(a.x - b.x, a.y - b.y)
+
+    def default(motored):
+        if food is Perishability.NON_PERISHABLE:
+            return thresholds.t_np
+        return thresholds.t_p_m if motored else thresholds.t_p_nm
+
+    def eligible(d, v):
+        overlap = max(0, min(v.window.end, d.window.end) - max(v.window.start, d.window.start))
+        return (
+            v.remaining_payload >= d.amount * (100.0 + thresholds.t_a) / 100.0
+            and overlap >= thresholds.t_o
+            and v.route_start != v.route_end
+            and hypot(d.location, v.route_start) <= thresholds.t_l * hypot(v.route_start, v.route_end) / 100.0
+            and (not v.receivers or any(agent in receiver_universe for agent in v.receivers))
+        )
+
+    def candidate(d, v):
+        if food is Perishability.NON_PERISHABLE or v.ac:
+            return hypot(v.route_end, d.location)
+        return default(v.motored)
+
+    scan = sorted((copy.copy(v) for v in vols), key=lambda v: v.arrival)
+    taken, sticky, rows = set(), {}, []
+    for d in donors:
+        chosen = sticky.get(d.id.agent_id)
+        if chosen is not None and eligible(d, chosen):
+            best = candidate(d, chosen)
+        else:
+            chosen = None
+            for v in scan:
+                if v.id not in taken and eligible(d, v) and (chosen is None or candidate(d, v) > best):
+                    chosen, best = v, candidate(d, v)
+        if chosen is None:
+            rows.append((None, default(None)))
+            continue
+        chosen.remaining_payload -= d.amount
+        taken.add(chosen.id)
+        sticky[d.id.agent_id] = chosen
+        rows.append((chosen.id, max(best, default(chosen.motored))))
+    return rows
+
+
 def judge_every_round(monkeypatch, config, policy=MatchPolicy(), acceptance=AcceptanceModel()):
-    """Run a seeded city with the Pareto oracle judging every class round.
+    """Run a seeded city with the Pareto oracle judging every class round and
+    the volunteer reference judging every volunteer assignment.
 
     Each round's market is copied before the round runs, because the round
     removes requests from its lists and lowers remaining_amount in place; a
-    receiver enters the copy with its open demand as its amount. Transport
-    comes from the produced matching, so a volunteer-assignment fault stays
-    unseen. Returns the number of rounds, of rounds holding a receiver or a
-    gated donor, the oracle's violations, and the receivers that entered a
-    round with no open demand.
+    receiver enters the copy with its open demand as its amount. The Pareto
+    oracle takes transport from the produced matching, so only the reference
+    sees a volunteer-assignment fault. Returns the number of rounds, of rounds
+    holding a receiver or a gated donor, the oracle's violations, the
+    receivers that entered a round with no open demand, the donors that got a
+    volunteer, and the donors whose volunteer or reach differs from the
+    reference's.
     """
-    log = {"rounds": 0, "busy": 0, "violations": [], "starved": []}
+    log = {"rounds": 0, "busy": 0, "violations": [], "starved": [], "carried": 0, "misassigned": []}
     class_round = engine.ca_dtb
+    assign = engine.assign_volunteers
 
     def judged(donors, receivers, vols, food, now, thresholds, policy=MatchPolicy(), trace=None):
         log["starved"].extend(str(r.id) for r in receivers if r.remaining_amount <= 0)
@@ -294,7 +358,19 @@ def judge_every_round(monkeypatch, config, policy=MatchPolicy(), acceptance=Acce
             log["violations"].append(f"minute {now}: {verdict.describe()}")
         return result
 
+    def judged_assignment(donors, vols, food, thresholds, receiver_universe):
+        expected = reference_assign_volunteers(donors, vols, food, thresholds, receiver_universe)
+        matches, volunteers = assign(donors, vols, food, thresholds, receiver_universe)
+        for d, match, volunteer, row in zip(donors, matches, volunteers, expected):
+            if (match.volunteer, match.vicinity) != row or (volunteer and volunteer.id) != match.volunteer:
+                log["misassigned"].append(f"donor {d.id}: {match.volunteer} at {match.vicinity}, expected {row}")
+        log["carried"] += sum(volunteer is not None for volunteer in volunteers)
+        if len(matches) != len(expected):
+            log["misassigned"].append(f"{len(matches)} rows for {len(expected)} donors")
+        return matches, volunteers
+
     monkeypatch.setattr(engine, "ca_dtb", judged)
+    monkeypatch.setattr(engine, "assign_volunteers", judged_assignment)
     run_simulation(generate_scenario(config), policy=policy, acceptance=acceptance)
     return log
 
@@ -319,6 +395,9 @@ class TestRoundsOfSeededRuns:
         log = churned_city_rounds
         assert (log["rounds"], log["busy"], log["violations"]) == (432, 383, [])
 
+    def test_every_churned_city_assignment_matches_the_reference(self, churned_city_rounds):
+        assert (churned_city_rounds["carried"], churned_city_rounds["misassigned"]) == (6000, [])
+
     def test_no_receiver_enters_a_round_without_demand(self, churned_city_rounds):
         # a failed meal group must not requeue a receiver that its other
         # meals still cover; without that check 237.1 and 399.1 enter rounds
@@ -328,7 +407,55 @@ class TestRoundsOfSeededRuns:
     @pytest.mark.parametrize("preferences", ["eligible", "raw"])
     def test_every_desk_round_is_pareto_ok(self, sort, preferences, monkeypatch):
         log = judge_every_round(monkeypatch, desk_policy_config(seed=0), MatchPolicy(sort, preferences))
-        assert log == {"rounds": 432, "busy": 191, "violations": [], "starved": []}
+        # donors given a volunteer, counted over every round
+        carried = {("end", "eligible"): 347, ("start", "eligible"): 354}.get((sort, preferences), 1923)
+        assert log == {"rounds": 432, "busy": 191, "violations": [], "starved": [], "carried": carried,
+                       "misassigned": []}
+
+
+class TestVolunteerReference:
+    """reference_assign_volunteers judges the engine's volunteer rounds where
+    volunteers crowd the donors: the criterion-2 corridor at its largest
+    sweep point, and a dense 4 x 4 km city whose routes are short."""
+
+    def test_every_sweep_point_assignment_matches(self, monkeypatch):
+        config = desk_volunteer_sweep_config(seed=0)
+        log = judge_every_round(monkeypatch, with_volunteer_count(config, 4 * config.counts()[0]))
+        assert log == {"rounds": 432, "busy": 191, "violations": [], "starved": [], "carried": 379,
+                       "misassigned": []}
+
+    def test_every_dense_city_assignment_matches(self, monkeypatch):
+        log = judge_every_round(monkeypatch, ScenarioConfig(n_requests=1000, seed=3, city_width=4.0, city_height=4.0))
+        assert log == {"rounds": 432, "busy": 383, "violations": [], "starved": [], "carried": 990,
+                       "misassigned": []}
+
+    def test_restricted_volunteer_waits_for_a_gated_receiver(self):
+        # the restricted volunteer offers the longer reach but carries only
+        # to receiver 9, gated from minute 640; receiver 50 is gated from 580
+        d = DonationRequest(id=RequestId(1, 1), arrival=1, location=Location(10, 10),
+                            food=FoodType.FRESHLY_COOKED, amount=1000, window=TimeWindow(700, 800))
+        receivers = [
+            RequirementRequest(id=RequestId(agent, 1), arrival=arrival, location=Location(11, 10),
+                               food=FoodType.FRESHLY_COOKED, amount=1000, window=TimeWindow(start, 980))
+            for agent, arrival, start in ((9, 2, 820), (50, 3, 760))
+        ]
+
+        def volunteer(agent, arrival, motored, receivers=()):
+            return VolunteerRequest(id=RequestId(agent, 1), arrival=arrival, route_start=Location(9.5, 10),
+                                    route_end=Location(30, 10), motored=motored, ac=False,
+                                    payload_capacity=5000, window=TimeWindow(600, 800), receivers=receivers)
+
+        restricted, plain = volunteer(90, 4, True, receivers=(9,)), volunteer(91, 5, False)
+        for now, chosen, reach in ((600, plain, 5.0), (630, plain, 5.0), (640, restricted, 20.0)):
+            universe = {r.id.agent_id for r in gated(receivers, now, TH)}
+            donors = gated([d], now, TH)
+            (match,), _ = engine.assign_volunteers(donors, [restricted, plain], Perishability.PERISHABLE, TH,
+                                                   universe)
+            assert (match.volunteer, match.vicinity) == (chosen.id, reach)
+            assert reference_assign_volunteers(donors, [restricted, plain], Perishability.PERISHABLE, TH,
+                                               universe) == [(chosen.id, reach)]
+            # payload spent by the engine is returned, as ca_dtb does for an unserved donor
+            chosen.remaining_payload += d.amount
 
 
 def hand_market(donor_lists, receiver_amounts):
