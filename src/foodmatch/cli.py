@@ -89,8 +89,18 @@ def _effective_seed(args) -> int:
     return args.seed
 
 
+def _refuse_repeated_ids(scenario: Scenario) -> None:
+    """Name the first record whose request id an earlier record took."""
+    seen: set[RequestId] = set()
+    for index, timed in enumerate(scenario.requests):
+        if timed.request.id in seen:
+            raise ValueError(f"request {index}: duplicate request {timed.request.id}")
+        seen.add(timed.request.id)
+
+
 def _load_scenario_with_overrides(args) -> Scenario:
     scenario = load_scenario(args.scenario)
+    _refuse_repeated_ids(scenario)
     thresholds = _thresholds_from_args(args, scenario.config.thresholds)
     if thresholds != scenario.config.thresholds:
         scenario = Scenario(config=replace(scenario.config, thresholds=thresholds), requests=scenario.requests)
@@ -319,14 +329,11 @@ def load_instance(path: str) -> Instance:
     the latest gate-opening minute is used.
     """
     scenario, now = read_scenario(path)
+    _refuse_repeated_ids(scenario)
     thresholds = scenario.config.thresholds
     donors, receivers, vols = [], [], []
-    seen: set[RequestId] = set()
     for arrival, timed in enumerate(scenario.requests, start=1):
         request = timed.request
-        if request.id in seen:
-            raise ValueError(f"request {arrival - 1}: duplicate request {request.id}")
-        seen.add(request.id)
         request.arrival = arrival
         if isinstance(request, DonationRequest):
             donors.append(request)

@@ -225,7 +225,6 @@ class _VolunteerIndex:
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 found.extend(self._grid.get((cx + dx, cy + dy), ()))
-        found.sort(key=lambda v: v.arrival)
         return found
 
 
@@ -240,13 +239,15 @@ def assign_volunteers(
     it can get.
 
     Returns two lists aligned with donors: each donor's provisional match,
-    which carries its reach, and its chosen volunteer or None. Scanning
-    follows volunteer arrival order and upgrades only on a strict vicinity
-    improvement, so the earliest-arriving maximizer wins. A chosen
-    volunteer leaves the open market but is offered first to later meals of
-    the same donor while its payload lasts. Donors with no eligible
-    volunteer fall back to the class default reach.
+    which carries its reach, and its chosen volunteer or None. A donor's
+    candidates are the volunteer chosen for an earlier meal of the same donor
+    while it stays eligible, else every eligible volunteer not yet taken; it
+    gets the candidate with the farthest reach, and of equal reaches the
+    earliest arrival. Donors with no eligible volunteer fall back to the
+    class default reach.
     """
+    if not donors:
+        return [], []
     index = _VolunteerIndex(vols, thresholds.t_l)
     taken: set[RequestId] = set()
     sticky: dict[int, VolunteerRequest] = {}
@@ -254,30 +255,20 @@ def assign_volunteers(
     volunteers: list[Optional[VolunteerRequest]] = []
 
     for d in donors:
-        chosen: Optional[VolunteerRequest] = None
-        candidate_vicinity = 0.0
-
         previous = sticky.get(d.id.agent_id)
         if previous is not None and volunteer_is_eligible(d, previous, thresholds, receiver_universe):
-            chosen = previous
-            candidate_vicinity = vicinity_candidate(d, previous, food, thresholds)
+            candidates = [previous]
         else:
-            best_vicinity = 0.0
-            for v in index.near(d.location):
-                if v.id in taken:
-                    continue
-                if not volunteer_is_eligible(d, v, thresholds, receiver_universe):
-                    continue
-                vicinity = vicinity_candidate(d, v, food, thresholds)
-                if chosen is None or vicinity > best_vicinity:
-                    chosen = v
-                    best_vicinity = vicinity
-            candidate_vicinity = best_vicinity
-
-        if chosen is None:
-            reach = default_vicinity(food, None, thresholds)
-        else:
-            reach = max(candidate_vicinity, default_vicinity(food, chosen.motored, thresholds))
+            candidates = [v for v in index.near(d.location)
+                          if v.id not in taken and volunteer_is_eligible(d, v, thresholds, receiver_universe)]
+        chosen: Optional[VolunteerRequest] = None
+        reach = default_vicinity(food, None, thresholds)
+        if candidates:
+            (vicinity, _), chosen = max(
+                (((vicinity_candidate(d, v, food, thresholds), -v.arrival), v) for v in candidates),
+                key=lambda scored: scored[0],
+            )
+            reach = max(vicinity, default_vicinity(food, chosen.motored, thresholds))
             chosen.remaining_payload -= d.amount
             taken.add(chosen.id)
             sticky[d.id.agent_id] = chosen

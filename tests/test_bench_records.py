@@ -173,3 +173,51 @@ def test_traced_pairs_keep_a_failed_run_and_exit_one(tmp_path, monkeypatch, caps
     assert (calls["parent"]["failed_ops"], calls["change"]["failed_ops"]) == (0, 3)
     summary = capsys.readouterr().out.splitlines()
     assert [line.endswith("counts differ") for line in summary[1:]] == [True, False]
+
+
+def _metric_runs(values):
+    return [{"correct": True, "failed": 0, "metrics": {"peak_rss_mb": {"value": v, "unit": "MB"}}, "machine": {}}
+            for v in values]
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # the parent's interquartile range (0.3) exceeds the bound of 0.1 and the
+    # change's runs fall among the parent's
+    ([24.0, 24.2, 24.4, 24.6], [24.1, 24.3, 24.5, 24.7], "lower", "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([24.0, 24.2, 24.4, 24.6], [23.0, 23.1, 23.2, 23.95], "lower", "within bound"),
+    # a wide spread that every change run loses to cannot be told apart either
+    ([24.0, 24.2, 24.4, 24.6], [25.0, 25.1, 25.2, 25.3], "lower", "unresolved"),
+    ([24.0, 24.0, 24.02, 24.0], [24.2, 24.21, 24.2, 24.2], "lower", "worse"),
+    ([24.0, 24.0, 24.02, 24.0], [24.09, 24.1, 24.08, 24.1], "lower", "within bound"),
+    ([10.0, 10.0, 10.0, 10.0], [9.8, 9.8, 9.9, 9.8], "higher", "worse"),
+    ([10.0, 10.0, 10.0, 10.0], [9.95, 10.5, 10.5, 10.5], "higher", "within bound"),
+    ([9.0, 9.5, 10.0, 10.5], [10.6, 10.7, 10.8, 10.9], "higher", "within bound"),
+    ([24.0, 24.0], [], "lower", "unresolved"),
+])
+def test_end_to_end_entry_verdict(parent, change, better, verdict):
+    commits = {"parent": {"commit": "a"}, "change": {"commit": "b", "dirty": False}}
+    metric = {"name": "peak_rss_mb", "unit": "MB", "better": better, "bound": 0.1}
+    runs = {"parent": _metric_runs(parent), "change": _metric_runs(change)}
+    assert _bench_pairs().entry("city-5k", metric, runs, commits)["verdict"] == verdict
+
+
+def test_per_layer_entry_has_no_verdict():
+    commits = {"parent": {"commit": "a"}, "change": {"commit": "b", "dirty": False}}
+    metric = {"name": "geometry.distance_calls", "unit": "count", "better": "lower"}
+    runs = {"parent": [_traced_run(7)], "change": [_traced_run(9)]}
+    assert _bench_pairs().entry("oracle-probe", metric, runs, commits)["verdict"] is None
+
+
+def test_summary_and_record_carry_the_verdict(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    _fake_repository(bench_pairs, tmp_path, monkeypatch)
+    # pair 0 runs the parent first, pair 1 the change
+    results = iter([_run(1.0), _run(1.5), _run(1.5), _run(1.0)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds, trace: next(results))
+    record = tmp_path / "record.json"
+    assert bench_pairs.main(["--pairs", "2", "--json", str(record)]) == 0
+    (setup,) = json.loads(record.read_text())["entries"]
+    assert (setup["parent"]["median"], setup["change"]["median"], setup["verdict"]) == (1.0, 1.5, "worse")
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "verdict" and line.split()[-1] == "worse"

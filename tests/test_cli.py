@@ -616,6 +616,27 @@ class TestMalformedInput:
             "error: infeasible scenario: more than 10000000 requests or agents of one role"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["check-gamma"], ["experiment", "fig8a"], ["experiment", "fig8d"], ["oracle", "pareto"],
+    ], ids=lambda command: "-".join(command))
+    def test_repeated_request_id_exits_one_before_any_run(self, command, tmp_path, capsys, monkeypatch):
+        # the city's last record, donation 129.1 submitted at minute 1280,
+        # appears twice; the pool would refuse it only when the run got there
+        path = tmp_path / "city.json"
+        assert run_cli("generate", "--seed", "3", "--requests", "300", "--out", str(path)) == 0
+        scenario = json.loads(path.read_text())
+        scenario["requests"].append(scenario["requests"][-1])
+        path.write_text(json.dumps(scenario))
+        runs = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "run_simulation", lambda *args, **kwargs: runs.append(args))
+        monkeypatch.setattr(cli, "run_instance", lambda *args: runs.append(args))
+        out = tmp_path / "out"
+        argv = [*command, "--instance", str(path)] if command[0] == "oracle" else [*command, "--scenario", str(path)]
+        assert run_cli(*argv, *(["--out", str(out)] if command[0] in ("run", "experiment") else [])) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: request 300: duplicate request 129.1"]
+        assert (runs, out.exists()) == ([], False)
+
     def test_string_threshold_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"config": {"thresholds": {"t_o": "15"}}, "requests": [_valid_record()]}))

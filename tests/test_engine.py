@@ -190,6 +190,17 @@ class TestAssignVolunteers:
         (match,), _ = assign([d], [first, second])
         assert match.volunteer == first.id
 
+    def test_equal_reaches_in_different_cells_go_to_the_earliest_arrival(self):
+        # 40 km routes make 2 km grid cells; the donor is in cell (5, 5), the
+        # later volunteer starts in cell (4, 4), which near visits first
+        d = donor(1, loc=(11, 11))
+        earlier = vol(90, route=((11.5, 11.5), (51.5, 11.5)), arrival=1)
+        later = vol(91, route=((9.9, 9.9), (49.9, 9.9)), arrival=2)
+        assert engine._VolunteerIndex([earlier, later], TH.t_l).near(d.location) == [later, earlier]
+        assert vicinity_candidate(d, earlier, P, TH) == vicinity_candidate(d, later, P, TH) == 20.0
+        (match,), _ = assign([d], [earlier, later])
+        assert match.volunteer == earlier.id
+
     def test_vicinity_floored_at_transport_default(self):
         d = donor(1, loc=(10, 10))
         near_dest = vol(90, route=((9.9, 10), (12, 10)), ac=True, motored=True)  # candidate 2.0

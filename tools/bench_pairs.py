@@ -27,13 +27,18 @@ Run from anywhere inside the repository:
 
 Each run prints one progress line on stderr. The summary gives, per workload
 and metric, each side's median, the change's median minus the parent's, the
-parent's interquartile range, the benchmark's bound, and the pairs the change
-won (ties count for neither side); a count metric whose values by pair differ
-between the sides is marked ``counts differ``. ``--json PATH`` also writes
-the record: one entry per workload and recorded metric, holding each side's
-commit, values by pair, median, interquartile range, failed ops and machine
-state per run (as ``perfbench/run.py`` prints it), the change's wins, the
-bound, and whether every run was correct; its ``expected_differs`` says
+parent's interquartile range, the benchmark's bound, the pairs the change
+won (ties count for neither side), and an end-to-end metric's verdict; a
+count metric whose values by pair differ between the sides is marked
+``counts differ``. The verdict is ``unresolved`` when the parent's
+interquartile range exceeds the bound and not every change run beats every
+parent run, else ``worse`` when the change's median is worse than the
+parent's by more than the bound, else ``within bound``. ``--json PATH`` also
+writes the record: one entry per workload and recorded metric, holding each
+side's commit, values by pair, median, interquartile range, failed ops and
+machine state per run (as ``perfbench/run.py`` prints it), the change's
+wins, the bound, the verdict (null for a per-layer metric, which has no
+bound), and whether every run was correct; its ``expected_differs`` says
 whether the flag was given. The exit status is 1 if any run
 failed or reported ``"correct": false``, as a traced run does whose spans'
 self times do not add up to its ops' time; such a run's values stay in the
@@ -145,8 +150,26 @@ def entry(workload: str, metric: dict, runs: dict[str, list[dict]], commits: dic
         "workload": workload, "metric": name, "unit": metric["unit"], "better": metric["better"],
         "bound": metric.get("bound"), "parent": sides["parent"], "change": sides["change"],
         "change_wins": sum(1 for p, c in both if sign * (c - p) < 0), "pairs": len(both),
+        "verdict": verdict(sides["parent"], sides["change"], sign, metric.get("bound")),
         "all_correct": all(run["correct"] is True for side_runs in runs.values() for run in side_runs),
     }
+
+
+def verdict(parent: dict, change: dict, sign: float, bound: float | None) -> str | None:
+    """How the change's end-to-end metric stands against its bound, as the
+    module docstring says; None for a per-layer metric. sign is 1 when lower
+    is better and -1 when higher is."""
+    if bound is None:
+        return None
+    parent_values = [sign * v for v in parent["values"] if v is not None]
+    change_values = [sign * v for v in change["values"] if v is not None]
+    if not (parent_values and change_values):
+        return "unresolved"
+    if parent["iqr"] > bound and max(change_values) >= min(parent_values):
+        return "unresolved"
+    if sign * (change["median"] - parent["median"]) > bound:
+        return "worse"
+    return "within bound"
 
 
 def counts_differ(entry: dict) -> bool:
@@ -197,13 +220,14 @@ def main(argv=None) -> int:
                     runs[side].append(result)
             entries.extend(entry(workload, m, runs, commits) for m in metrics)
 
-    header = ("workload", "metric", "parent_median", "change_median", "delta", "parent_iqr", "bound", "change_wins")
+    header = ("workload", "metric", "parent_median", "change_median", "delta", "parent_iqr", "bound", "change_wins",
+              "verdict")
     print("  ".join(f"{h:>14}" for h in header))
     for e in entries:
         parent, change = e["parent"]["median"], e["change"]["median"]
         delta = change - parent if None not in (parent, change) else None
         row = (e["workload"], e["metric"], parent, change, delta, e["parent"]["iqr"], e["bound"],
-               f"{e['change_wins']}/{e['pairs']}")
+               f"{e['change_wins']}/{e['pairs']}", e["verdict"] or "")
         line = "  ".join(f"{v:>14.4f}" if isinstance(v, float) else f"{v!s:>14}" for v in row)
         print(line + ("  counts differ" if counts_differ(e) else ""))
     if args.json:
