@@ -264,9 +264,9 @@ def assign_volunteers(
         chosen: Optional[VolunteerRequest] = None
         reach = default_vicinity(food, None, thresholds)
         if candidates:
-            (vicinity, _), chosen = max(
-                (((vicinity_candidate(d, v, food, thresholds), -v.arrival), v) for v in candidates),
-                key=lambda scored: scored[0],
+            vicinity, _, chosen = max(
+                ((vicinity_candidate(d, v, food, thresholds), -v.arrival, v) for v in candidates),
+                key=lambda scored: scored[:2],
             )
             reach = max(vicinity, default_vicinity(food, chosen.motored, thresholds))
             chosen.remaining_payload -= d.amount
