@@ -3,6 +3,7 @@ the documented worked examples (priority extraction, best-match selection,
 the two-receiver end-sort case)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -207,6 +208,42 @@ class TestAssignVolunteers:
         (match,), _ = assign([d], [near_dest])
         assert match.volunteer == near_dest.id
         assert match.vicinity == 20.0  # floored to motored perishable reach
+
+
+def _index_probe(rng):
+    """A seeded volunteer set at a scale from 1 m to 1,000 km, an allowance
+    percentage t_l from 0.1 to 40, and the donor points to probe: random
+    ones, plus each volunteer's own allowance along each axis and diagonal,
+    scaled by 1 and by 1 +- 1e-15."""
+    scale = 10 ** rng.uniform(-3, 3)
+    t_l = rng.uniform(0.1, 40)
+    vols = []
+    for agent in range(rng.randint(1, 12)):
+        start = (rng.uniform(0, scale), rng.uniform(0, scale))
+        end = start if rng.random() < 0.15 else (rng.uniform(0, scale), rng.uniform(0, scale))
+        vols.append(vol(agent, route=(start, end)))
+    points = [Location(rng.uniform(0, scale), rng.uniform(0, scale)) for _ in range(8)]
+    unit = 0.5 ** 0.5
+    directions = [(1, 0), (-1, 0), (0, 1), (0, -1),
+                  (unit, unit), (unit, -unit), (-unit, unit), (-unit, -unit)]
+    for v in vols:
+        allowance = engine.off_route_allowance(v.route_start, v.route_end, t_l)
+        for (ux, uy), factor in itertools.product(directions, (1.0, 1 - 1e-15, 1 + 1e-15)):
+            step = allowance * factor
+            points.append(Location(v.route_start.x + step * ux, v.route_start.y + step * uy))
+    return vols, t_l, points
+
+
+class TestVolunteerIndex:
+    def test_near_never_drops_a_volunteer_within_pickup_radius(self):
+        for seed in range(400):
+            vols, t_l, points = _index_probe(random.Random(seed))
+            index = engine._VolunteerIndex(vols, t_l)
+            for loc in points:
+                found = {v.id for v in index.near(loc)}
+                missed = [v.id for v in vols if v.id not in found
+                          and engine.within_pickup_radius(loc, v.route_start, v.route_end, t_l)]
+                assert not missed, (seed, loc, missed)
 
 
 def round_of(donors, receivers, vols=(), now=660):
