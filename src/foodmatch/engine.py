@@ -29,6 +29,7 @@ record of their fate (displayed, accepted, rejected or expired).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
@@ -205,27 +206,22 @@ def vicinity_candidate(
 
 
 class _VolunteerIndex:
-    """Grid over route starts; pickup eligibility only reaches t_l% of a
-    route length, so donors only ever need nearby cells."""
+    """Volunteers sorted by route start x. Pickup eligibility only reaches
+    t_l% of a route length from its start, so a donor only ever needs the
+    starts inside a square of the round's longest such allowance."""
 
     def __init__(self, vols: Sequence[VolunteerRequest], t_l: float):
-        self._cell = 1.0
-        for v in vols:
-            allowance = off_route_allowance(v.route_start, v.route_end, t_l)
-            if allowance > self._cell:
-                self._cell = allowance
-        self._grid: dict[tuple[int, int], list[VolunteerRequest]] = {}
-        for v in vols:
-            key = (int(v.route_start.x // self._cell), int(v.route_start.y // self._cell))
-            self._grid.setdefault(key, []).append(v)
+        reach = max((off_route_allowance(v.route_start, v.route_end, t_l) for v in vols), default=0.0)
+        # widened so that rounding never drops a start the exact test accepts
+        self._reach = reach * (1 + 1e-9) + 1e-9
+        self._vols = sorted(vols, key=lambda v: v.route_start.x)
+        self._xs = [v.route_start.x for v in self._vols]
 
     def near(self, loc) -> list[VolunteerRequest]:
-        cx, cy = int(loc.x // self._cell), int(loc.y // self._cell)
-        found = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                found.extend(self._grid.get((cx + dx, cy + dy), ()))
-        return found
+        reach = self._reach
+        lo = bisect_left(self._xs, loc.x - reach)
+        hi = bisect_right(self._xs, loc.x + reach)
+        return [v for v in self._vols[lo:hi] if abs(loc.y - v.route_start.y) <= reach]
 
 
 def assign_volunteers(

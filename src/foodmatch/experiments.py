@@ -217,7 +217,7 @@ def experiment_manipulation(
     """
     manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=scenario.config.seed)
 
-    truthful_report = run_simulation(scenario, tick_minutes=tick_minutes, trace=True)
+    truthful_report = run_simulation(scenario, tick_minutes=tick_minutes)
     manip_report = run_simulation(manipulated, tick_minutes=tick_minutes, trace=True)
 
     truthful = partner_index(_accepted_pairs(truthful_report))

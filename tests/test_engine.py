@@ -191,9 +191,9 @@ class TestAssignVolunteers:
         (match,), _ = assign([d], [first, second])
         assert match.volunteer == first.id
 
-    def test_equal_reaches_in_different_cells_go_to_the_earliest_arrival(self):
-        # 40 km routes make 2 km grid cells; the donor is in cell (5, 5), the
-        # later volunteer starts in cell (4, 4), which near visits first
+    def test_equal_reaches_go_to_the_earliest_arrival_not_the_first_found(self):
+        # near lists volunteers by route start x, so the later arrival,
+        # whose start has the smaller x, comes first
         d = donor(1, loc=(11, 11))
         earlier = vol(90, route=((11.5, 11.5), (51.5, 11.5)), arrival=1)
         later = vol(91, route=((9.9, 9.9), (49.9, 9.9)), arrival=2)
