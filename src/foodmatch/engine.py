@@ -1,8 +1,9 @@
 """The matching engine: volunteer assignment and chronological acceptance.
 
 One iteration drains the intake pool, classifies the snapshot into the five
-market lists while retiring requests whose gate has closed, and runs the
-matcher once per food class, perishable first. Within a class the matcher:
+market lists, volunteers sorted by route start x, while retiring requests
+whose gate has closed, and runs the matcher once per food class, perishable
+first. Within a class the matcher:
 
 1. gates donors and receivers by their lead-time windows,
 2. assigns each gated donor the eligible volunteer that maximizes the
@@ -29,8 +30,9 @@ record of their fate (displayed, accepted, rejected or expired).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Container, Iterable, Optional, Sequence
 
 from .geometry import (
@@ -56,6 +58,7 @@ from .pool import ActivePool, requeue_rejected
 
 RECEIVER_SORT_MODES = ("end", "start")
 PREFERENCE_MODES = ("eligible", "raw")
+_start_x = attrgetter("route_start.x")
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,10 @@ def trifurcate(
     non-perishable donors/receivers, retiring requests as it goes.
 
     A request, carried or new, leaves the market for good once its gate has
-    closed: now + its lead time is past its window end. Each list keeps
-    arrival order, with the unconsumed entries of the previous round ahead of
-    the snapshot's.
+    closed: now + its lead time is past its window end. The four donor and
+    receiver lists keep arrival order, with the unconsumed entries of the
+    previous round ahead of the snapshot's; the volunteer list stays sorted
+    by route start x, the order assign_volunteers searches it in.
     """
 
     def live(request: Request) -> bool:
@@ -161,7 +165,11 @@ def trifurcate(
             target = out.pfr if PERISHABILITY[request.food] is Perishability.PERISHABLE else out.npfr
         else:
             raise TypeError(f"unclassifiable request type {type(request).__name__}")
-        if live(request):
+        if not live(request):
+            continue
+        if target is out.v:
+            insort(target, request, key=_start_x)
+        else:
             target.append(request)
     return out
 
@@ -205,25 +213,6 @@ def vicinity_candidate(
     return default_vicinity(food, v.motored, thresholds)
 
 
-class _VolunteerIndex:
-    """Volunteers sorted by route start x. Pickup eligibility only reaches
-    t_l% of a route length from its start, so a donor only ever needs the
-    starts inside a square of the round's longest such allowance."""
-
-    def __init__(self, vols: Sequence[VolunteerRequest], t_l: float):
-        reach = max((off_route_allowance(v.route_start, v.route_end, t_l) for v in vols), default=0.0)
-        # widened so that rounding never drops a start the exact test accepts
-        self._reach = reach * (1 + 1e-9) + 1e-9
-        self._vols = sorted(vols, key=lambda v: v.route_start.x)
-        self._xs = [v.route_start.x for v in self._vols]
-
-    def near(self, loc) -> list[VolunteerRequest]:
-        reach = self._reach
-        lo = bisect_left(self._xs, loc.x - reach)
-        hi = bisect_right(self._xs, loc.x + reach)
-        return [v for v in self._vols[lo:hi] if abs(loc.y - v.route_start.y) <= reach]
-
-
 def assign_volunteers(
     donors: Sequence[DonationRequest],
     vols: Sequence[VolunteerRequest],
@@ -240,11 +229,15 @@ def assign_volunteers(
     while it stays eligible, else every eligible volunteer not yet taken; it
     gets the candidate with the farthest reach, and of equal reaches the
     earliest arrival. Donors with no eligible volunteer fall back to the
-    class default reach.
+    class default reach. vols must be sorted by route start x, as trifurcate
+    and ca_dtb keep it: a donor tests only the starts inside a square of the
+    round's longest pickup allowance, found by bisecting vols.
     """
     if not donors:
         return [], []
-    index = _VolunteerIndex(vols, thresholds.t_l)
+    half = max((off_route_allowance(v.route_start, v.route_end, thresholds.t_l) for v in vols), default=0.0)
+    # widened so that rounding never drops a start the exact test accepts
+    half = half * (1 + 1e-9) + 1e-9
     taken: set[RequestId] = set()
     sticky: dict[int, VolunteerRequest] = {}
     matches: list[Match] = []
@@ -255,8 +248,10 @@ def assign_volunteers(
         if previous is not None and volunteer_is_eligible(d, previous, thresholds, receiver_universe):
             candidates = [previous]
         else:
-            candidates = [v for v in index.near(d.location)
-                          if v.id not in taken and volunteer_is_eligible(d, v, thresholds, receiver_universe)]
+            lo = bisect_left(vols, d.location.x - half, key=_start_x)
+            hi = bisect_right(vols, d.location.x + half, lo, key=_start_x)
+            candidates = [v for v in vols[lo:hi] if abs(d.location.y - v.route_start.y) <= half
+                          and v.id not in taken and volunteer_is_eligible(d, v, thresholds, receiver_universe)]
         chosen: Optional[VolunteerRequest] = None
         reach = default_vicinity(food, None, thresholds)
         if candidates:
@@ -413,7 +408,8 @@ def ca_dtb(
 
     Served donors, fully covered receivers and the volunteers committed to a
     served donor leave their lists; unserved donors, their volunteer
-    reservation rolled back, and partially covered receivers stay.
+    reservation rolled back, and partially covered receivers stay. vols must
+    be sorted by route start x, as trifurcate keeps it; each list keeps its order.
     """
     gated_donors = gated(donors, now, thresholds)
     gated_receivers = gated(receivers, now, thresholds)

@@ -23,11 +23,11 @@ def sizes(lists):
     return [len(lists.v), len(lists.pfd), len(lists.pfr), len(lists.npfd), len(lists.npfr)]
 
 
-def mk(kind, agent, arrival, food=FoodType.FRESHLY_COOKED, end=1000):
+def mk(kind, agent, arrival, food=FoodType.FRESHLY_COOKED, end=1000, x=0.0):
     window = TimeWindow(0, end)
     if kind == "v":
         return VolunteerRequest(
-            id=RequestId(agent, 1), arrival=arrival, route_start=Location(0, 0),
+            id=RequestId(agent, 1), arrival=arrival, route_start=Location(x, 0),
             route_end=Location(1, 1), motored=True, ac=False,
             payload_capacity=1000, window=window,
         )
@@ -95,17 +95,31 @@ def test_carried_requests_retire_and_keep_their_order():
     assert sizes(carry) == [1, 3, 1, 0, 0]
 
 
+def test_new_volunteers_interleave_with_carried_ones_by_route_start():
+    carry = classify([mk("v", 1, 1, x=2.0), mk("v", 2, 2, x=4.0)])
+    out = classify([mk("v", 3, 3, x=3.0), mk("v", 4, 4, x=1.0), mk("v", 5, 5, x=4.0)], carry)
+    # an equal x keeps arrival order
+    assert [v.id.agent_id for v in out.v] == [4, 1, 3, 2, 5]
+    assert [v.id.agent_id for v in carry.v] == [1, 2]
+
+
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["d", "r", "v"]), st.sampled_from(list(FoodType))),
+        st.tuples(st.sampled_from(["d", "r", "v"]), st.sampled_from(list(FoodType)),
+                  st.floats(-100, 100, allow_nan=False)),
         max_size=30,
-    )
+        unique_by=lambda t: t[2],
+    ),
+    st.integers(0, 30),
 )
-def test_partition_conserves_and_keeps_order(spec):
-    snapshot = [mk(kind, agent + 1, agent + 1, food) for agent, (kind, food) in enumerate(spec)]
-    lists = classify(snapshot)
+def test_partition_conserves_and_keeps_order(spec, carried):
+    # the first `carried` requests arrive a round early and are carried over
+    requests = [mk(kind, agent + 1, agent + 1, food, x=x) for agent, (kind, food, x) in enumerate(spec)]
+    lists = classify(requests[carried:], classify(requests[:carried]))
     ids = list(lists.all_ids())
-    assert len(ids) == len(set(ids)) == len(snapshot)
-    for lst in (lists.v, lists.pfd, lists.pfr, lists.npfd, lists.npfr):
+    assert len(ids) == len(set(ids)) == len(requests)
+    starts = sorted(r.route_start.x for r in requests if isinstance(r, VolunteerRequest))
+    assert [v.route_start.x for v in lists.v] == starts
+    for lst in (lists.pfd, lists.pfr, lists.npfd, lists.npfr):
         arrivals = [r.arrival for r in lst]
         assert arrivals == sorted(arrivals)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from foodmatch import engine
 from foodmatch.engine import (
+    ClassifiedLists,
     MatchingEngine,
     MatchPolicy,
     assign_volunteers,
@@ -19,6 +20,7 @@ from foodmatch.engine import (
     expire_stale_matches,
     gated,
     match_receivers,
+    trifurcate,
     vicinity_candidate,
     volunteer_is_eligible,
 )
@@ -154,10 +156,15 @@ class TestVicinityCandidate:
         assert vicinity_candidate(d, v, NP, TH) == pytest.approx(3.0)
 
 
+def x_sorted(vols):
+    """Volunteers in route start x order, the order the engine keeps them in."""
+    return sorted(vols, key=lambda v: v.route_start.x)
+
+
 def assign(donors, vols):
     """assign_volunteers for one perishable round at minute 0 with no gated
     receivers."""
-    return assign_volunteers(donors, vols, P, TH, set())
+    return assign_volunteers(donors, x_sorted(vols), P, TH, set())
 
 
 class TestAssignVolunteers:
@@ -192,14 +199,15 @@ class TestAssignVolunteers:
         assert match.volunteer == first.id
 
     def test_equal_reaches_go_to_the_earliest_arrival_not_the_first_found(self):
-        # near lists volunteers by route start x, so the later arrival,
+        # trifurcate lists volunteers by route start x, so the later arrival,
         # whose start has the smaller x, comes first
         d = donor(1, loc=(11, 11))
         earlier = vol(90, route=((11.5, 11.5), (51.5, 11.5)), arrival=1)
         later = vol(91, route=((9.9, 9.9), (49.9, 9.9)), arrival=2)
-        assert engine._VolunteerIndex([earlier, later], TH.t_l).near(d.location) == [later, earlier]
+        vols = trifurcate([earlier, later], ClassifiedLists(), 0, TH).v
+        assert vols == [later, earlier]
         assert vicinity_candidate(d, earlier, P, TH) == vicinity_candidate(d, later, P, TH) == 20.0
-        (match,), _ = assign([d], [earlier, later])
+        (match,), _ = assign_volunteers([d], vols, P, TH, set())
         assert match.volunteer == earlier.id
 
     def test_vicinity_floored_at_transport_default(self):
@@ -234,13 +242,22 @@ def _index_probe(rng):
     return vols, t_l, points
 
 
-class TestVolunteerIndex:
-    def test_near_never_drops_a_volunteer_within_pickup_radius(self):
+class TestVolunteerSquare:
+    def test_square_never_drops_a_volunteer_within_pickup_radius(self, monkeypatch):
+        # one donor per call, so neither taken nor a sticky volunteer filters
+        # anything: every volunteer tested for eligibility is one the square
+        # around the donor handed over
+        found = set()
+        real = engine.volunteer_is_eligible
+        monkeypatch.setattr(engine, "volunteer_is_eligible",
+                            lambda d, v, *rest: found.add(v.id) or real(d, v, *rest))
         for seed in range(400):
             vols, t_l, points = _index_probe(random.Random(seed))
-            index = engine._VolunteerIndex(vols, t_l)
+            vols = x_sorted(vols)
+            thresholds = Thresholds(t_l=t_l)
             for loc in points:
-                found = {v.id for v in index.near(loc)}
+                found.clear()
+                assign_volunteers([donor(1, loc=(loc.x, loc.y))], vols, P, thresholds, set())
                 missed = [v.id for v in vols if v.id not in found
                           and engine.within_pickup_radius(loc, v.route_start, v.route_end, t_l)]
                 assert not missed, (seed, loc, missed)
@@ -249,7 +266,7 @@ class TestVolunteerIndex:
 def round_of(donors, receivers, vols=(), now=660):
     """(donor agent, receiver agent) of every match one class round
     completes, and the reach of each gated donor's provisional match."""
-    result = ca_dtb(donors, receivers, list(vols), P, now, TH)
+    result = ca_dtb(donors, receivers, x_sorted(vols), P, now, TH)
     served = [(m.donor.agent_id, m.receiver.agent_id) for m in result.completed()]
     return served, [m.vicinity for m in result.matches]
 
@@ -500,7 +517,7 @@ class TestCaDtb:
                 )
                 for a in (50, 51)
             ]
-            vols = [vol(90, arrival=100), vol(91, arrival=101)]
+            vols = x_sorted([vol(90, arrival=100), vol(91, arrival=101)])
             return donors, receivers, vols
 
         outputs = []

@@ -446,13 +446,13 @@ class TestVolunteerReference:
                                     payload_capacity=5000, window=TimeWindow(600, 800), receivers=receivers)
 
         restricted, plain = volunteer(90, 4, True, receivers=(9,)), volunteer(91, 5, False)
+        vols = sorted([restricted, plain], key=lambda v: v.route_start.x)
         for now, chosen, reach in ((600, plain, 5.0), (630, plain, 5.0), (640, restricted, 20.0)):
             universe = {r.id.agent_id for r in gated(receivers, now, TH)}
             donors = gated([d], now, TH)
-            (match,), _ = engine.assign_volunteers(donors, [restricted, plain], Perishability.PERISHABLE, TH,
-                                                   universe)
+            (match,), _ = engine.assign_volunteers(donors, vols, Perishability.PERISHABLE, TH, universe)
             assert (match.volunteer, match.vicinity) == (chosen.id, reach)
-            assert reference_assign_volunteers(donors, [restricted, plain], Perishability.PERISHABLE, TH,
+            assert reference_assign_volunteers(donors, vols, Perishability.PERISHABLE, TH,
                                                universe) == [(chosen.id, reach)]
             # payload spent by the engine is returned, as ca_dtb does for an unserved donor
             chosen.remaining_payload += d.amount
