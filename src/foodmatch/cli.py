@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import PREFERENCE_MODES, RECEIVER_SORT_MODES, MatchPolicy, lead_minutes
+from .engine import PREFERENCE_MODES, RECEIVER_SORT_MODES, MatchPolicy
 from .experiments import (
     desk_policy_config,
     desk_volunteer_sweep_config,
@@ -345,7 +345,8 @@ def load_instance(path: str) -> Instance:
         # volunteers are left out: their lead is 0, so they would move the minute
         if not (donors or receivers):
             raise ValueError("empty instance")
-        now = max(r.window.start - lead_minutes(r, thresholds) for r in donors + receivers)
+        now = max([d.window.start - thresholds.t_d for d in donors]
+                  + [r.window.start - thresholds.t_r for r in receivers])
     return Instance(donors=donors, receivers=receivers, vols=vols, now=now, thresholds=thresholds)
 
 

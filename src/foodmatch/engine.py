@@ -97,19 +97,9 @@ def collapse_ranks(preferred: Sequence[int], eligible_agents: Container[int]) ->
 # ---------------------------------------------------------------------------
 
 
-def lead_minutes(request: Request, thresholds: Thresholds) -> int:
-    """How long before its window a request enters matching: t_d for a
-    donor, t_r for a receiver, none for a volunteer."""
-    if isinstance(request, DonationRequest):
-        return thresholds.t_d
-    if isinstance(request, RequirementRequest):
-        return thresholds.t_r
-    return 0
-
-
-def gated(requests: Iterable[Request], now: int, thresholds: Thresholds) -> list:
+def gated(requests: Iterable[Request], now: int, lead: int) -> list:
     """Requests whose lead-shifted window [start - lead, end - lead] holds now."""
-    return [r for r in requests if r.window.start <= now + lead_minutes(r, thresholds) <= r.window.end]
+    return [r for r in requests if r.window.start <= now + lead <= r.window.end]
 
 
 @dataclass
@@ -141,31 +131,30 @@ def trifurcate(
     non-perishable donors/receivers, retiring requests as it goes.
 
     A request, carried or new, leaves the market for good once its gate has
-    closed: now + its lead time is past its window end. The four donor and
-    receiver lists keep arrival order, with the unconsumed entries of the
-    previous round ahead of the snapshot's; the volunteer list stays sorted
-    by route start x, the order assign_volunteers searches it in.
+    closed: now + its list's lead (t_d for donors, t_r for receivers, none
+    for volunteers) is past its window end. The four donor and receiver
+    lists keep arrival order, with the unconsumed entries of the previous
+    round ahead of the snapshot's; the volunteer list stays sorted by route
+    start x, the order assign_volunteers searches it in.
     """
-
-    def live(request: Request) -> bool:
-        return now + lead_minutes(request, thresholds) <= request.window.end
-
+    t_d, t_r = thresholds.t_d, thresholds.t_r
     # unpack a list, not a generator: a generator is unpacked into an
     # oversized tuple that is then shrunk, and every shrunk tuple stays on
     # the interpreter's free list (145 KiB over one gate-slice op)
     out = ClassifiedLists(*[
-        [r for r in lst if live(r)] for lst in (carry.v, carry.pfd, carry.pfr, carry.npfd, carry.npfr)
+        [r for r in lst if now + lead <= r.window.end]
+        for lst, lead in ((carry.v, 0), (carry.pfd, t_d), (carry.pfr, t_r), (carry.npfd, t_d), (carry.npfr, t_r))
     ])
     for request in snapshot:
         if isinstance(request, VolunteerRequest):
-            target = out.v
+            target, lead = out.v, 0
         elif isinstance(request, DonationRequest):
-            target = out.pfd if PERISHABILITY[request.food] is Perishability.PERISHABLE else out.npfd
+            target, lead = (out.pfd if PERISHABILITY[request.food] is Perishability.PERISHABLE else out.npfd), t_d
         elif isinstance(request, RequirementRequest):
-            target = out.pfr if PERISHABILITY[request.food] is Perishability.PERISHABLE else out.npfr
+            target, lead = (out.pfr if PERISHABILITY[request.food] is Perishability.PERISHABLE else out.npfr), t_r
         else:
             raise TypeError(f"unclassifiable request type {type(request).__name__}")
-        if not live(request):
+        if now + lead > request.window.end:
             continue
         if target is out.v:
             insort(target, request, key=_start_x)
@@ -233,8 +222,6 @@ def assign_volunteers(
     and ca_dtb keep it: a donor tests only the starts inside a square of the
     round's longest pickup allowance, found by bisecting vols.
     """
-    if not donors:
-        return [], []
     half = max((off_route_allowance(v.route_start, v.route_end, thresholds.t_l) for v in vols), default=0.0)
     # widened so that rounding never drops a start the exact test accepts
     half = half * (1 + 1e-9) + 1e-9
@@ -282,19 +269,20 @@ def _pair_eligible(
     thresholds: Thresholds,
     raw_mode: bool,
 ) -> bool:
+    # cheap tests before geometry; every test is a side-effect-free conjunct
     if d.window.end > r.window.end:
         return False
+    if raw_mode:
+        if d.preferred_receivers and r.id.agent_id not in d.preferred_receivers:
+            return False
+        if r.preferred_donors and d.id.agent_id not in r.preferred_donors:
+            return False
     if distance(r.location, d.location) > reach:
         return False
     if volunteer is not None:
         if volunteer.receivers and r.id.agent_id not in volunteer.receivers:
             return False
         if not within_dropoff_band(r.location, volunteer.route_start, volunteer.route_end, thresholds.t_l):
-            return False
-    if raw_mode:
-        if d.preferred_receivers and r.id.agent_id not in d.preferred_receivers:
-            return False
-        if r.preferred_donors and d.id.agent_id not in r.preferred_donors:
             return False
     return True
 
@@ -409,10 +397,13 @@ def ca_dtb(
     Served donors, fully covered receivers and the volunteers committed to a
     served donor leave their lists; unserved donors, their volunteer
     reservation rolled back, and partially covered receivers stay. vols must
-    be sorted by route start x, as trifurcate keeps it; each list keeps its order.
+    be sorted by route start x, as trifurcate keeps it; each list keeps its
+    order. A round with no gated donor changes nothing, so it stops at once.
     """
-    gated_donors = gated(donors, now, thresholds)
-    gated_receivers = gated(receivers, now, thresholds)
+    gated_donors = gated(donors, now, thresholds.t_d)
+    if not gated_donors:
+        return CaDtbResult([])
+    gated_receivers = gated(receivers, now, thresholds.t_r)
     receiver_universe = {r.id.agent_id for r in gated_receivers}
 
     matches, volunteers = assign_volunteers(gated_donors, vols, food, thresholds, receiver_universe)

@@ -127,8 +127,8 @@ class _OracleWorld:
     def __init__(self, instance: Instance, produced: Sequence[Match]):
         self.thresholds = instance.thresholds
         self.raw_mode = instance.policy.preferences == "raw"
-        self.donors = {d.id: d for d in gated(_meals(instance), instance.now, instance.thresholds)}
-        self.receivers = gated(instance.receivers, instance.now, instance.thresholds)
+        self.donors = {d.id: d for d in gated(_meals(instance), instance.now, self.thresholds.t_d)}
+        self.receivers = gated(instance.receivers, instance.now, self.thresholds.t_r)
         vols_by_id = {v.id: v for v in instance.vols}
         produced_by_donor = {m.donor: m for m in produced}
         self.feasible: dict[RequestId, dict[RequestId, RequirementRequest]] = {}

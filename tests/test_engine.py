@@ -85,28 +85,39 @@ class TestMatchPolicy:
 class TestGating:
     def test_donor_gate(self):
         d = donor(1, window=(600, 720))
-        assert gated([d], 480, TH) == [d]
-        assert gated([d], 479, TH) == []
-        assert gated([d], 600, TH) == [d]
-        assert gated([d], 601, TH) == []
+        assert gated([d], 480, TH.t_d) == [d]
+        assert gated([d], 479, TH.t_d) == []
+        assert gated([d], 600, TH.t_d) == [d]
+        assert gated([d], 601, TH.t_d) == []
 
     def test_receiver_gate(self):
         r = receiver(50, window=(900, 1020))
-        assert gated([r], 720, TH) == [r]
-        assert gated([r], 719, TH) == []
+        assert gated([r], 720, TH.t_r) == [r]
+        assert gated([r], 719, TH.t_r) == []
 
     def test_degenerate_receiver_window(self):
         r = receiver(50, window=(900, 900))
-        assert gated([r], 720, TH) == [r]
-        assert gated([r], 721, TH) == []
-        assert gated([r], 719, TH) == []
+        assert gated([r], 720, TH.t_r) == [r]
+        assert gated([r], 721, TH.t_r) == []
+        assert gated([r], 719, TH.t_r) == []
 
-    def test_volunteer_gate_has_no_lead(self):
-        v = vol(90, window=(600, 800))
-        assert gated([v], 600, TH) == [v]
-        assert gated([v], 599, TH) == []
-        assert gated([v], 800, TH) == [v]
-        assert gated([v], 801, TH) == []
+    def test_each_market_list_retires_at_its_own_lead(self):
+        # a volunteer has no lead, a donor t_d = 120 and a receiver t_r = 180;
+        # each role has one carried request and one new one
+        carry = trifurcate([vol(90, window=(600, 800)), donor(1, window=(600, 700)),
+                            receiver(50, window=(820, 900))], ClassifiedLists(), 0, TH)
+        snapshot = [vol(91, window=(600, 800)), donor(2, window=(600, 700)), receiver(51, window=(820, 900))]
+
+        def kept(now):
+            out = trifurcate(snapshot, carry, now, TH)
+            return [sorted(r.id.agent_id for r in lst) for lst in (out.v, out.pfd, out.pfr)]
+
+        assert kept(580) == [[90, 91], [1, 2], [50, 51]]
+        assert kept(581) == [[90, 91], [], [50, 51]]
+        assert kept(720) == [[90, 91], [], [50, 51]]
+        assert kept(721) == [[90, 91], [], []]
+        assert kept(800) == [[90, 91], [], []]
+        assert kept(801) == [[], [], []]
 
 
 class TestVolunteerEligibility:
@@ -430,6 +441,34 @@ class TestPairTable:
 
 
 class TestCaDtb:
+    def test_round_with_no_gated_donor_changes_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(engine, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("assign_volunteers", "match_receivers"):
+            monkeypatch.setattr(engine, name, spy(name))
+        # at minute 660 a donor's gate is open while 780 lies in its window:
+        # one opens later, one has closed; both receivers are gated
+        donors = [donor(1, window=(800, 900)), donor(2, window=(500, 520))]
+        receivers = [receiver(50), receiver(51, loc=(12, 10))]
+        vols = x_sorted([vol(90), vol(91, route=((12, 10), (30, 10)))])
+        markets = (donors, receivers, vols)
+        before = [[id(request) for request in market] for market in markets]
+        trace: dict[int, set[int]] = {}
+        result = ca_dtb(donors, receivers, vols, P, 660, TH, trace=trace)
+        assert result.matches == []
+        assert [[id(request) for request in market] for market in markets] == before
+        assert [v.remaining_payload for v in vols] == [v.payload_capacity for v in vols]
+        assert trace == {}
+        assert calls == []
+
     def test_no_receivers_all_pending_and_rolled_back(self):
         d = donor(1)
         v = vol(90)

@@ -163,8 +163,8 @@ class TestAssignmentOracle:
         for seed in range(40):
             instance = random_instance(seed)
             matches, _ = run_instance(instance)
-            donors = gated(oracles._meals(instance), instance.now, TH)
-            receivers = gated(instance.receivers, instance.now, TH)
+            donors = gated(oracles._meals(instance), instance.now, TH.t_d)
+            receivers = gated(instance.receivers, instance.now, TH.t_r)
             for matching in (matches, matches[1:]):
                 tested.clear()
                 brute_force_pareto_oracle(instance, matching)
@@ -448,8 +448,8 @@ class TestVolunteerReference:
         restricted, plain = volunteer(90, 4, True, receivers=(9,)), volunteer(91, 5, False)
         vols = sorted([restricted, plain], key=lambda v: v.route_start.x)
         for now, chosen, reach in ((600, plain, 5.0), (630, plain, 5.0), (640, restricted, 20.0)):
-            universe = {r.id.agent_id for r in gated(receivers, now, TH)}
-            donors = gated([d], now, TH)
+            universe = {r.id.agent_id for r in gated(receivers, now, TH.t_r)}
+            donors = gated([d], now, TH.t_d)
             (match,), _ = engine.assign_volunteers(donors, vols, Perishability.PERISHABLE, TH, universe)
             assert (match.volunteer, match.vicinity) == (chosen.id, reach)
             assert reference_assign_volunteers(donors, vols, Perishability.PERISHABLE, TH,
