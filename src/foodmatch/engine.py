@@ -225,7 +225,7 @@ def assign_volunteers(
     half = max((off_route_allowance(v.route_start, v.route_end, thresholds.t_l) for v in vols), default=0.0)
     # widened so that rounding never drops a start the exact test accepts
     half = half * (1 + 1e-9) + 1e-9
-    taken: set[RequestId] = set()
+    taken: set[int] = set()
     sticky: dict[int, VolunteerRequest] = {}
     matches: list[Match] = []
     volunteers: list[Optional[VolunteerRequest]] = []
@@ -238,7 +238,7 @@ def assign_volunteers(
             lo = bisect_left(vols, d.location.x - half, key=_start_x)
             hi = bisect_right(vols, d.location.x + half, lo, key=_start_x)
             candidates = [v for v in vols[lo:hi] if abs(d.location.y - v.route_start.y) <= half
-                          and v.id not in taken and volunteer_is_eligible(d, v, thresholds, receiver_universe)]
+                          and id(v) not in taken and volunteer_is_eligible(d, v, thresholds, receiver_universe)]
         chosen: Optional[VolunteerRequest] = None
         reach = default_vicinity(food, None, thresholds)
         if candidates:
@@ -248,7 +248,7 @@ def assign_volunteers(
             )
             reach = max(vicinity, default_vicinity(food, chosen.motored, thresholds))
             chosen.remaining_payload -= d.amount
-            taken.add(chosen.id)
+            taken.add(id(chosen))
             sticky[d.id.agent_id] = chosen
 
         matches.append(Match(donor=d.id, volunteer=chosen.id if chosen else None, receiver=None, vicinity=reach))
@@ -395,10 +395,10 @@ def ca_dtb(
     """Run one class's matching round, updating the market lists in place.
 
     Served donors, fully covered receivers and the volunteers committed to a
-    served donor leave their lists; unserved donors, their volunteer
-    reservation rolled back, and partially covered receivers stay. vols must
-    be sorted by route start x, as trifurcate keeps it; each list keeps its
-    order. A round with no gated donor changes nothing, so it stops at once.
+    served donor leave their lists, found by object identity; unserved donors,
+    their volunteer reservation rolled back, and partially covered receivers
+    stay. vols must be sorted by route start x, as trifurcate keeps it; each
+    list keeps its order. A round with no gated donor changes nothing.
     """
     gated_donors = gated(donors, now, thresholds.t_d)
     if not gated_donors:
@@ -409,22 +409,22 @@ def ca_dtb(
     matches, volunteers = assign_volunteers(gated_donors, vols, food, thresholds, receiver_universe)
     match_receivers(gated_receivers, gated_donors, matches, volunteers, thresholds, policy, trace)
 
-    matched_donors: set[RequestId] = set()
-    committed_vols: set[RequestId] = set()
+    matched_donors: set[int] = set()
+    committed_vols: set[int] = set()
     for d, match, volunteer in zip(gated_donors, matches, volunteers):
         if match.receiver is not None:
-            matched_donors.add(d.id)
+            matched_donors.add(id(d))
             if volunteer is not None:
-                committed_vols.add(volunteer.id)
+                committed_vols.add(id(volunteer))
         elif volunteer is not None:
             volunteer.remaining_payload += d.amount
 
     # clear and extend, not slice assignment: that also copies the old items
     # into a scratch buffer, and read 0.1-0.2 MB more peak RSS on gate-slice
     for market, kept in (
-        (donors, [d for d in donors if d.id not in matched_donors]),
+        (donors, [d for d in donors if id(d) not in matched_donors]),
         (receivers, [r for r in receivers if r.remaining_amount > 0]),
-        (vols, [v for v in vols if v.id not in committed_vols]),
+        (vols, [v for v in vols if id(v) not in committed_vols]),
     ):
         market.clear()
         market.extend(kept)

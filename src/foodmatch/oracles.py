@@ -79,16 +79,16 @@ class Instance:
 def run_instance(instance: Instance) -> tuple[list[Match], dict[int, set[int]]]:
     """One mechanism iteration over the instance, perishable class first,
     and the partner agents each agent saw as candidates."""
-    work = instance.clone()
     trace: dict[int, set[int]] = {}
-    # a meal keeps its donation's arrival, so the stable sort keeps piece order
-    snapshot = sorted(_meals(work) + work.receivers + work.vols, key=lambda r: r.arrival)
-    lists = trifurcate(snapshot, ClassifiedLists(), work.now, work.thresholds)
+    # a round writes only receivers' and volunteers' remaining_*, so only they
+    # are copied; a meal keeps its donation's arrival, so the sort keeps piece order
+    snapshot = sorted(_meals(instance) + copy.deepcopy(instance.receivers + instance.vols), key=lambda r: r.arrival)
+    lists = trifurcate(snapshot, ClassifiedLists(), instance.now, instance.thresholds)
 
     matches: list[Match] = []
     for food, donors, receivers in lists.rounds():
-        result = ca_dtb(donors, receivers, lists.v, food, work.now, work.thresholds, policy=work.policy, trace=trace)
-        matches.extend(result.matches)
+        matches.extend(ca_dtb(donors, receivers, lists.v, food, instance.now, instance.thresholds,
+                              policy=instance.policy, trace=trace).matches)
     return matches, trace
 
 

@@ -3,12 +3,14 @@ and the plain volunteer-assignment reference."""
 
 import copy
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from foodmatch import engine, oracles
 from foodmatch.engine import MatchingEngine, MatchPolicy, gated
@@ -39,7 +41,7 @@ from foodmatch.oracles import (
     true_rank,
 )
 from foodmatch.pool import ActivePool, submit_request
-from foodmatch.scenario import ScenarioConfig, generate_scenario, with_volunteer_count
+from foodmatch.scenario import Scenario, ScenarioConfig, TimedRequest, generate_scenario, with_volunteer_count
 from foodmatch.simulate import AcceptanceModel, run_simulation
 
 TH = Thresholds()
@@ -268,6 +270,30 @@ class TestOneShotRun:
         assert [(str(m.donor), m.delivered_amount, m.receiver) for m in matches] == served
         assert brute_force_pareto_oracle(instance, matches).describe() == "pareto-ok"
 
+    def test_runs_leave_their_instance_as_they_found_it(self):
+        # a round lowers receivers' and volunteers' remaining_* and splits
+        # donations; none of it may reach the instance. In this dense city
+        # about one instance in forty serves a volunteer-carried meal
+        def market(seed):
+            return sized_instance(seed, 8, 8, 4, thresholds=Thresholds(t_m=500), city=6.0)
+
+        split, carried = [], []
+        for seed in range(300):
+            instance = market(seed)
+            before = repr(instance)
+            first = run_instance(instance)
+            assert repr(instance) == before, seed
+            assert run_instance(instance) == first, seed
+            served = [m for m in first[0] if m.receiver is not None]
+            split.extend(seed for m in served if m.donor.meal_seq)
+            carried.extend(seed for m in served if m.volunteer is not None)
+        assert len(set(split)) > 250 and len(set(carried)) >= 5
+        for seed in sorted(set(carried))[:2]:
+            instance = market(seed)
+            before = repr(instance)
+            assert exhaustive_misreports(instance).cases > 0
+            assert repr(instance) == before, seed
+
 
 def reference_assign_volunteers(donors, vols, food, thresholds, receiver_universe):
     """Plain volunteer assignment: each donor's (volunteer id or None, reach).
@@ -325,8 +351,8 @@ def reference_assign_volunteers(donors, vols, food, thresholds, receiver_univers
     return rows
 
 
-def judge_every_round(monkeypatch, config, policy=MatchPolicy(), acceptance=AcceptanceModel()):
-    """Run a seeded city with the Pareto oracle judging every class round and
+def judge_every_round(monkeypatch, scenario, policy=MatchPolicy(), acceptance=AcceptanceModel()):
+    """Run a scenario with the Pareto oracle judging every class round and
     the volunteer reference judging every volunteer assignment.
 
     Each round's market is copied before the round runs, because the round
@@ -337,7 +363,7 @@ def judge_every_round(monkeypatch, config, policy=MatchPolicy(), acceptance=Acce
     holding a receiver or a gated donor, the oracle's violations, the
     receivers that entered a round with no open demand, the donors that got a
     volunteer, and the donors whose volunteer or reach differs from the
-    reference's.
+    reference's, together with the run's report.
     """
     log = {"rounds": 0, "busy": 0, "violations": [], "starved": [], "carried": 0, "misassigned": []}
     class_round = engine.ca_dtb
@@ -371,15 +397,16 @@ def judge_every_round(monkeypatch, config, policy=MatchPolicy(), acceptance=Acce
 
     monkeypatch.setattr(engine, "ca_dtb", judged)
     monkeypatch.setattr(engine, "assign_volunteers", judged_assignment)
-    run_simulation(generate_scenario(config), policy=policy, acceptance=acceptance)
-    return log
+    report = run_simulation(scenario, policy=policy, acceptance=acceptance)
+    return log, report
 
 
 @pytest.fixture(scope="module")
 def churned_city_rounds():
     with pytest.MonkeyPatch.context() as monkeypatch:
-        return judge_every_round(monkeypatch, ScenarioConfig(n_requests=1500, seed=1),
-                                 acceptance=AcceptanceModel(0.3, 0.1, seed=1))
+        log, _ = judge_every_round(monkeypatch, generate_scenario(ScenarioConfig(n_requests=1500, seed=1)),
+                                   acceptance=AcceptanceModel(0.3, 0.1, seed=1))
+        return log
 
 
 class TestRoundsOfSeededRuns:
@@ -406,7 +433,8 @@ class TestRoundsOfSeededRuns:
     @pytest.mark.parametrize("sort", ["end", "start"])
     @pytest.mark.parametrize("preferences", ["eligible", "raw"])
     def test_every_desk_round_is_pareto_ok(self, sort, preferences, monkeypatch):
-        log = judge_every_round(monkeypatch, desk_policy_config(seed=0), MatchPolicy(sort, preferences))
+        log, _ = judge_every_round(monkeypatch, generate_scenario(desk_policy_config(seed=0)),
+                                   MatchPolicy(sort, preferences))
         # donors given a volunteer, counted over every round
         carried = {("end", "eligible"): 347, ("start", "eligible"): 354}.get((sort, preferences), 1923)
         assert log == {"rounds": 432, "busy": 191, "violations": [], "starved": [], "carried": carried,
@@ -420,12 +448,14 @@ class TestVolunteerReference:
 
     def test_every_sweep_point_assignment_matches(self, monkeypatch):
         config = desk_volunteer_sweep_config(seed=0)
-        log = judge_every_round(monkeypatch, with_volunteer_count(config, 4 * config.counts()[0]))
+        scenario = generate_scenario(with_volunteer_count(config, 4 * config.counts()[0]))
+        log, _ = judge_every_round(monkeypatch, scenario)
         assert log == {"rounds": 432, "busy": 191, "violations": [], "starved": [], "carried": 379,
                        "misassigned": []}
 
     def test_every_dense_city_assignment_matches(self, monkeypatch):
-        log = judge_every_round(monkeypatch, ScenarioConfig(n_requests=1000, seed=3, city_width=4.0, city_height=4.0))
+        config = ScenarioConfig(n_requests=1000, seed=3, city_width=4.0, city_height=4.0)
+        log, _ = judge_every_round(monkeypatch, generate_scenario(config))
         assert log == {"rounds": 432, "busy": 383, "violations": [], "starved": [], "carried": 990,
                        "misassigned": []}
 
@@ -456,6 +486,97 @@ class TestVolunteerReference:
                                                universe) == [(chosen.id, reach)]
             # payload spent by the engine is returned, as ca_dtb does for an unserved donor
             chosen.remaining_payload += d.amount
+
+
+FUZZ_THRESHOLDS = (
+    Thresholds(t_m=500),
+    Thresholds(t_o=30, t_l=10.0, t_m=700, t_d=60, t_r=90, t_w=10),
+    Thresholds(t_o=5, t_l=20.0, t_m=400, t_p_nm=2.0, t_p_m=6.0, t_np=12.0, t_d=30, t_r=45, t_w=25),
+)
+
+
+@st.composite
+def small_scenarios(draw):
+    """A scenario of 10-60 requests built directly, each submitted at its own
+    drawn minute, volunteers too, so some reach the market after a donor's
+    first gated round.
+
+    Places sit near a few shared sites, so donors fall inside and just
+    outside volunteers' pickup radii and receivers inside and outside their
+    drop-off bands. Receivers are agents 1.., donors 101.. (an agent may
+    donate twice) and volunteers 201..; preference lists and restricted
+    volunteers' receiver lists name agents of the scenario. Donations reach
+    several meals under every threshold set.
+    """
+    thresholds = draw(st.sampled_from(FUZZ_THRESHOLDS))
+    size = draw(st.integers(10, 60))
+    roles = draw(st.lists(st.sampled_from("drv"), min_size=size, max_size=size))
+    coordinate = st.integers(0, 600).map(lambda c: c / 100)
+    sites = draw(st.lists(st.builds(Location, coordinate, coordinate), min_size=1, max_size=3))
+    offset = st.just(0.0) | st.integers(-40, 40).map(lambda c: c / 100)
+
+    def place():
+        site = draw(st.sampled_from(sites))
+        return Location(round(site.x + draw(offset), 2), round(site.y + draw(offset), 2))
+
+    def window(earliest, latest, longest):
+        start = draw(st.integers(earliest, latest))
+        return TimeWindow(start, start + draw(st.integers(0, longest)))
+
+    receiver_agents = list(range(1, 1 + roles.count("r")))
+    donor_agents = list(range(101, 101 + roles.count("d")))
+
+    def listed(agents, least=0, most=4):
+        if not agents:
+            return ()
+        return tuple(draw(st.lists(st.sampled_from(agents), unique=True, min_size=least, max_size=most)))
+
+    seqs: Counter = Counter()
+    receivers, donors, vols = iter(receiver_agents), iter(donor_agents), itertools.count(201)
+    requests = []
+    for arrival, role in enumerate(roles, start=1):
+        if role == "d":
+            agent = draw(st.sampled_from(donor_agents[:next(donors) - 100]))
+            request = DonationRequest(
+                id=RequestId(agent, seqs[agent] + 1), arrival=arrival, location=place(),
+                food=draw(st.sampled_from(FoodType)), amount=draw(st.integers(200, 2500)),
+                window=window(400, 520, 180), preferred_receivers=listed(receiver_agents))
+        elif role == "r":
+            agent = next(receivers)
+            request = RequirementRequest(
+                id=RequestId(agent, 1), arrival=arrival, location=place(),
+                food=draw(st.sampled_from(FoodType)), amount=draw(st.integers(200, 3000)),
+                window=window(440, 640, 240), preferred_donors=listed(donor_agents))
+        else:
+            agent, restricted = next(vols), draw(st.booleans())
+            request = VolunteerRequest(
+                id=RequestId(agent, 1), arrival=arrival, route_start=place(), route_end=place(),
+                motored=draw(st.booleans()), ac=draw(st.booleans()),
+                payload_capacity=draw(st.integers(500, 8000)), window=window(300, 500, 400),
+                receivers=listed(receiver_agents, 1, 2) if restricted else ())
+        seqs[agent] += 1
+        requests.append(TimedRequest(draw(st.integers(300, 560)), request))
+    return Scenario(ScenarioConfig(thresholds=thresholds), requests)
+
+
+class TestFuzzedRounds:
+    """Whole runs of drawn small scenarios, every class round judged by the
+    Pareto oracle and every volunteer round by the reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(
+        scenario=small_scenarios(),
+        policy=st.builds(MatchPolicy, st.sampled_from(engine.RECEIVER_SORT_MODES),
+                         st.sampled_from(engine.PREFERENCE_MODES)),
+        acceptance=st.builds(AcceptanceModel, st.sampled_from((0.0, 0.2, 0.5)),
+                             st.sampled_from((0.0, 0.1, 0.3)), st.integers(0, 3)),
+    )
+    def test_every_round_of_a_drawn_run_is_judged_sound(self, scenario, policy, acceptance):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            log, report = judge_every_round(monkeypatch, scenario, policy, acceptance)
+        assert (log["violations"], log["misassigned"], log["starved"]) == ([], [], [])
+        assert report.lifecycle_consistent
 
 
 def hand_market(donor_lists, receiver_amounts):
