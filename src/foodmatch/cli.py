@@ -42,7 +42,7 @@ from .scenario import (
     read_scenario,
     save_scenario,
 )
-from .simulate import TICK_MINUTES, AcceptanceModel, SimReport, check_tick, run_simulation
+from .simulate import AcceptanceModel, SimReport, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,7 +132,6 @@ def build_parser() -> _Parser:
     run.add_argument("--reject-prob", type=float, default=0.0)
     run.add_argument("--no-response-prob", type=float, default=0.0)
     run.add_argument("--seed", type=int, default=0, help="acceptance-model seed")
-    run.add_argument("--tick", type=int, default=TICK_MINUTES)
     run.add_argument("--out", required=True, help="output directory")
     _add_threshold_flags(run)
 
@@ -143,7 +142,6 @@ def build_parser() -> _Parser:
         fig = figures.add_parser(which)
         fig.add_argument("--scenario", required=True)
         fig.add_argument("--out", required=True, help="output directory")
-        fig.add_argument("--tick", type=int, default=TICK_MINUTES)
         _add_threshold_flags(fig)
         if which == "fig8a":
             fig.add_argument("--multiples", default="0.25,0.5,1,2,4")
@@ -159,7 +157,6 @@ def build_parser() -> _Parser:
 
     gamma = sub.add_parser("check-gamma", help="verify the off-routing bound on a full run")
     gamma.add_argument("--scenario", required=True)
-    gamma.add_argument("--tick", type=int, default=TICK_MINUTES)
     _add_threshold_flags(gamma)
 
     return parser
@@ -224,7 +221,6 @@ def _cmd_run(args) -> int:
             no_response_probability=args.no_response_prob,
             seed=_effective_seed(args),
         ),
-        tick_minutes=args.tick,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,8 +266,6 @@ def _cmd_experiment(args) -> int:
     # requests are not held through their runs; only fig8d runs them
     if args.which != "fig8d":
         scenario = None
-    # before any scenario is built, and when --seeds 0 runs nothing
-    check_tick(args.tick)
     if args.which in PAIRED_EXPERIMENTS and args.seeds < 0:
         raise ValueError("seeds must not be negative")
     out = Path(args.out)
@@ -279,7 +273,7 @@ def _cmd_experiment(args) -> int:
 
     if args.which == "fig8a":
         multiples = [float(m) for m in args.multiples.split(",")]
-        points = experiment_allocation_vs_volunteers(config, multiples, tick_minutes=args.tick)
+        points = experiment_allocation_vs_volunteers(config, multiples)
         _write_figure(
             out, "fig8a", ("multiple", "volunteers", "allocation_pct", "receiver_fulfillment_pct"),
             [(p.multiple, p.n_volunteers, round(p.allocation_pct, 4), round(p.receiver_fulfillment_pct, 4))
@@ -291,7 +285,7 @@ def _cmd_experiment(args) -> int:
         return EXIT_OK
 
     if args.which == "fig8d":
-        report = experiment_manipulation(scenario, args.fraction, tick_minutes=args.tick)
+        report = experiment_manipulation(scenario, args.fraction)
         _write_figure(
             out, "fig8d", ("agent_id", "role", "truthful_rank", "manipulated_rank", "gain", "exception"),
             [(o.agent_id, o.role, o.truthful_rank, o.misreport_rank, o.gain, int(o.exception))
@@ -309,8 +303,7 @@ def _cmd_experiment(args) -> int:
     name = args.which
     (baseline, variant), labels, title = PAIRED_EXPERIMENTS[name]
     seed = _effective_seed(args)
-    rows = experiment_paired_policies(config, range(seed, seed + args.seeds), baseline, variant,
-                                      tick_minutes=args.tick)
+    rows = experiment_paired_policies(config, range(seed, seed + args.seeds), baseline, variant)
     _write_figure(
         out, name, ("seed",) + labels,
         [(r.seed, round(r.baseline_pct, 4), round(r.variant_pct, 4)) for r in rows],
@@ -373,7 +366,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check_gamma(args) -> int:
     scenario = _load_scenario_with_overrides(args)
-    report = run_simulation(scenario, tick_minutes=args.tick)
+    report = run_simulation(scenario)
     bad = gamma_violations(report.deliveries, scenario.config.thresholds)
     bound = 4.0 * scenario.config.thresholds.t_l
     worst = max((d.overhead_pct for d in report.deliveries), default=0.0)

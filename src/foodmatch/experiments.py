@@ -20,7 +20,7 @@ from .engine import MatchPolicy
 from .model import DonationRequest, FoodType, RequirementRequest
 from .oracles import MisreportReport, partner_index, score_misreport
 from .scenario import Scenario, ScenarioConfig, TimedRequest, generate_scenario, with_volunteer_count
-from .simulate import TICK_MINUTES, SimReport, run_simulation
+from .simulate import SimReport, run_simulation
 
 
 def desk_volunteer_sweep_config(seed: int = 0, n_requests: int = 400) -> ScenarioConfig:
@@ -84,7 +84,6 @@ class CurvePoint:
 def experiment_allocation_vs_volunteers(
     config: ScenarioConfig,
     multiples: Sequence[float],
-    tick_minutes: int = TICK_MINUTES,
 ) -> list[CurvePoint]:
     """Allocation as the volunteer pool grows in multiples of the donor count.
 
@@ -106,7 +105,7 @@ def experiment_allocation_vs_volunteers(
             config=with_volunteer_count(config, pool),
             requests=[timed for timed in population.requests if timed.request.id.agent_id <= last_agent],
         )
-        report = run_simulation(scenario, tick_minutes=tick_minutes)
+        report = run_simulation(scenario)
         points.append(
             CurvePoint(
                 multiple=multiple,
@@ -130,7 +129,6 @@ def experiment_paired_policies(
     seeds: Sequence[int],
     baseline: MatchPolicy,
     variant: MatchPolicy,
-    tick_minutes: int = TICK_MINUTES,
 ) -> list[PairedRun]:
     """The baseline policy against the variant on the same scenario per seed.
 
@@ -141,8 +139,8 @@ def experiment_paired_policies(
     rows = []
     for seed in seeds:
         scenario = generate_scenario(replace(config, seed=seed))
-        baseline_run = run_simulation(scenario, baseline, tick_minutes=tick_minutes)
-        variant_run = run_simulation(scenario, variant, tick_minutes=tick_minutes)
+        baseline_run = run_simulation(scenario, baseline)
+        variant_run = run_simulation(scenario, variant)
         rows.append(
             PairedRun(
                 seed=seed,
@@ -203,11 +201,7 @@ def _accepted_pairs(report: SimReport):
     return ((group["donor_agent"], group["receiver_agent"]) for group in report.accepted_groups)
 
 
-def experiment_manipulation(
-    scenario: Scenario,
-    fraction: float,
-    tick_minutes: int = TICK_MINUTES,
-) -> MisreportReport:
+def experiment_manipulation(scenario: Scenario, fraction: float) -> MisreportReport:
     """Bulk preference manipulation against the truthful baseline, with
     manipulators drawn from the scenario's config seed.
 
@@ -217,8 +211,8 @@ def experiment_manipulation(
     """
     manipulated, manipulators = manipulate_scenario(scenario, fraction, seed=scenario.config.seed)
 
-    truthful_report = run_simulation(scenario, tick_minutes=tick_minutes)
-    manip_report = run_simulation(manipulated, tick_minutes=tick_minutes, trace=True)
+    truthful_report = run_simulation(scenario)
+    manip_report = run_simulation(manipulated, trace=True)
 
     truthful = partner_index(_accepted_pairs(truthful_report))
     manipulated_partners = partner_index(_accepted_pairs(manip_report))

@@ -1,10 +1,12 @@
 """Simulation driver: clock, acceptance modeling, metrics, lifecycle audit.
 
-A run advances the clock in fixed ticks, feeding submissions at their
-arrival minutes, running one mechanism iteration per tick, and applying the
-acceptance model to each displayed group. After the horizon passes, extra
-ticks run until every displayed group has settled (accepted, rejected, or
-expired); no new match can form past the horizon because no window can gate.
+A run advances the clock in fixed 5-minute ticks (TICK_MINUTES, a
+discretisation of the simulator and not one of the mechanism's Thresholds),
+feeding submissions at their arrival minutes, running one mechanism
+iteration per tick, and applying the acceptance model to each displayed
+group. After the horizon passes, extra ticks run until every displayed group
+has settled (accepted, rejected, or expired); no new match can form past the
+horizon because no window can gate.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ from .model import DonationRequest, MatchStatus, RequirementRequest
 from .pool import ActivePool, submit_request
 from .scenario import Scenario
 
-# minutes the clock advances per iteration, unless a run sets its own
+# minutes the clock advances per iteration
 TICK_MINUTES = 5
 # a run that has not settled after this many ticks is a runaway
 MAX_ITERATIONS = 1 << 20
-
-
-def check_tick(tick_minutes: int) -> None:
-    if tick_minutes < 1:
-        raise ValueError("tick_minutes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,10 @@ def run_simulation(
     scenario: Scenario,
     policy: MatchPolicy = MatchPolicy(),
     acceptance: AcceptanceModel = AcceptanceModel(),
-    tick_minutes: int = TICK_MINUTES,
     trace: bool = False,
 ) -> SimReport:
-    """Run one scenario to completion, advancing the clock tick_minutes
+    """Run one scenario to completion, advancing the clock TICK_MINUTES
     at a time, and measure it."""
-    check_tick(tick_minutes)
     thresholds = scenario.config.thresholds
     pool = ActivePool()
     engine = MatchingEngine(pool, thresholds, policy=policy, trace={} if trace else None)
@@ -128,7 +123,7 @@ def run_simulation(
             engine.apply_decisions(decisions)
 
         iterations += 1
-        now += tick_minutes
+        now += TICK_MINUTES
 
     return _build_report(engine)
 

@@ -110,7 +110,7 @@ class TestExperiments:
         out = tmp_path / "fig8a"
         code = run_cli(
             "experiment", "fig8a", "--scenario", str(small_scenario),
-            "--multiples", "0.5,1,2", "--out", str(out), "--tick", "10",
+            "--multiples", "0.5,1,2", "--out", str(out),
         )
         assert code == 0
         rows = (out / "fig8a.csv").read_text().strip().splitlines()
@@ -167,7 +167,7 @@ class TestExperiments:
         monkeypatch.setattr(experiments, "run_simulation", run_simulation)
         out = tmp_path / which
         assert run_cli("experiment", which, "--scenario", str(small_scenario), *flags,
-                       "--out", str(out), "--tick", "10") == 0
+                       "--out", str(out)) == 0
         assert (len(loaded), alive) == (1, [False])
 
     # config values that used to reach the generator's random draws and
@@ -213,7 +213,7 @@ class TestExperiments:
         out = tmp_path / "fig8b"
         assert run_cli(
             "experiment", "fig8b", "--scenario", str(small_scenario),
-            "--seeds", "2", "--out", str(out), "--tick", "10",
+            "--seeds", "2", "--out", str(out),
         ) == 0
         rows = (out / "fig8b.csv").read_text().strip().splitlines()
         assert rows[0] == "seed,start_sort_pct,end_sort_pct"
@@ -223,7 +223,7 @@ class TestExperiments:
         out = tmp_path / "fig8d"
         assert run_cli(
             "experiment", "fig8d", "--scenario", str(small_scenario),
-            "--fraction", "25", "--out", str(out), "--tick", "10",
+            "--fraction", "25", "--out", str(out),
         ) == 0
         assert (out / "fig8d.csv").exists() and (out / "fig8d.svg").exists()
         header = (out / "fig8d.csv").read_text().splitlines()[0]
@@ -235,7 +235,7 @@ class TestExperiments:
         out = tmp_path / "fig8d"
         assert run_cli(
             "experiment", "fig8d", "--scenario", str(small_scenario),
-            "--fraction", "0", "--out", str(out), "--tick", "10",
+            "--fraction", "0", "--out", str(out),
         ) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out}/fig8d.csv, fig8d.svg: 0 manipulators, mean gain 0.0000, "
@@ -348,13 +348,13 @@ class TestOracleCommands:
 
 class TestCheckGamma:
     def test_clean_run_exits_zero(self, small_scenario, capsys):
-        assert run_cli("check-gamma", "--scenario", str(small_scenario), "--tick", "10") == 0
+        assert run_cli("check-gamma", "--scenario", str(small_scenario)) == 0
         assert "violations 0" in capsys.readouterr().out
 
 
 class TestSettingFlags:
-    """The threshold, policy and tick flags keep the types and checks of the
-    settings they derive from."""
+    """The threshold and policy flags keep the types and checks of the
+    settings they derive from; the clock step has no flag."""
 
     def test_threshold_flag_equals_embedded_threshold(self, small_scenario, tmp_path):
         scenario = load_scenario(small_scenario)
@@ -402,17 +402,21 @@ class TestSettingFlags:
     def test_float_threshold_takes_a_fraction(self, small_scenario, tmp_path):
         assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), "--t-l", "7.5") == 0
 
-    # fig8b with --seeds 0 runs no simulation, so only the CLI's own check refuses it
-    @pytest.mark.parametrize(
-        "command", [["run"], ["experiment", "fig8a"], ["experiment", "fig8b", "--seeds", "0"], ["check-gamma"]]
-    )
-    def test_zero_tick_exits_one(self, command, small_scenario, tmp_path, capsys):
-        argv = [*command, "--scenario", str(small_scenario), "--tick", "0"]
+    # the clock step is fixed, so no command takes a flag for it
+    @pytest.mark.parametrize("command", [
+        ["run"], ["experiment", "fig8a"], ["experiment", "fig8b"], ["experiment", "fig8c"],
+        ["experiment", "fig8d"], ["check-gamma"],
+    ])
+    def test_tick_flag_exits_one(self, command, small_scenario, tmp_path, capsys):
+        argv = [*command, "--scenario", str(small_scenario), "--tick", "5"]
         if command != ["check-gamma"]:
             argv += ["--out", str(tmp_path / "out")]
         assert run_cli(*argv) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: tick_minutes must be at least 1"]
-        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.splitlines()[-1] == "error: unrecognized arguments: --tick 5"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("which", ["fig8b", "fig8c"])
     def test_negative_seed_count_exits_one(self, which, small_scenario, tmp_path, capsys):
@@ -520,7 +524,7 @@ class TestMalformedInput:
         else:
             taken = tmp_path / "taken"
             taken.write_text("")
-            argv = ("run", "--scenario", str(small_scenario), "--out", str(taken), "--tick", "10")
+            argv = ("run", "--scenario", str(small_scenario), "--out", str(taken))
             expected = "File exists"
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err.splitlines()

@@ -45,7 +45,7 @@ class TestVolunteerSweep:
         generate = experiments.generate_scenario
         monkeypatch.setattr(experiments, "generate_scenario", lambda cfg: generated.append(cfg) or generate(cfg))
         report = SimpleNamespace(allocation={"food_requests": 0.0}, fulfillment_pct=0.0)
-        monkeypatch.setattr(experiments, "run_simulation", lambda scenario, tick_minutes: ran.append(scenario) or report)
+        monkeypatch.setattr(experiments, "run_simulation", lambda scenario: ran.append(scenario) or report)
         multiples = (2, 0, 0.25, 2, 4)
         experiment_allocation_vs_volunteers(config, multiples)
         assert len(generated) == 1

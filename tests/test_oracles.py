@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from foodmatch import engine, oracles
 from foodmatch.engine import MatchingEngine, MatchPolicy, gated
@@ -563,7 +563,9 @@ class TestFuzzedRounds:
     """Whole runs of drawn small scenarios, every class round judged by the
     Pareto oracle and every volunteer round by the reference."""
 
-    @settings(derandomize=True, deadline=None, max_examples=100,
+    # no shrink phase: each shrink step replays a whole judged run, so a
+    # failure is reported as drawn, in seconds rather than minutes
+    @settings(derandomize=True, deadline=None, max_examples=100, phases=(Phase.explicit, Phase.generate),
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(
         scenario=small_scenarios(),

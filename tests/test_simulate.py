@@ -84,8 +84,8 @@ class TestToyRuns:
         monkeypatch.setattr(simulate.MatchingEngine, "iterate",
                             lambda engine, now: minutes.append(now) or iterate(engine, now))
         config = ScenarioConfig(n_requests=0, working_start=600, working_end=660)
-        report = run_simulation(Scenario(config=config, requests=[]), tick_minutes=10)
-        assert minutes == [600, 610, 620, 630, 640, 650, 660]
+        report = run_simulation(Scenario(config=config, requests=[]))
+        assert minutes == list(range(600, 661, 5))
         assert report.counts == {"donors": 0, "receivers": 0, "volunteers": 0, "meals": 0}
         assert set(report.allocation.values()) == {0.0}
         assert (report.served_grams, report.requested_grams, report.fulfillment_pct) == (0, 0, 0.0)
