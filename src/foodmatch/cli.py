@@ -3,14 +3,12 @@
 Subcommands: generate, run, experiment {fig8a,fig8b,fig8c,fig8d},
 oracle {pareto,strategyproof}, check-gamma. Exit codes: 0 success,
 1 usage or validation error, 2 a declared property was violated.
-The FDRM_SEED environment variable overrides --seed wherever a command has one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -80,13 +78,6 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
 def _thresholds_from_args(args, base: Thresholds) -> Thresholds:
     overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds) if getattr(args, f.name) is not None}
     return replace(base, **overrides) if overrides else base
-
-
-def _effective_seed(args) -> int:
-    env = os.environ.get("FDRM_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 def _refuse_repeated_ids(scenario: Scenario) -> None:
@@ -170,13 +161,12 @@ def build_parser() -> _Parser:
 def _cmd_generate(args) -> int:
     if args.mix is not None and args.preset != "uniform":
         raise ValueError(f"--mix applies only to the uniform city, not --preset {args.preset}")
-    seed = _effective_seed(args)
     if args.preset == "corridor":
-        config = desk_volunteer_sweep_config(seed=seed, n_requests=args.requests)
+        config = desk_volunteer_sweep_config(seed=args.seed, n_requests=args.requests)
     elif args.preset == "deadlines":
-        config = desk_policy_config(seed=seed, n_requests=args.requests)
+        config = desk_policy_config(seed=args.seed, n_requests=args.requests)
     else:
-        config = ScenarioConfig(n_requests=args.requests, seed=seed)
+        config = ScenarioConfig(n_requests=args.requests, seed=args.seed)
         if args.mix is not None:
             fractions = tuple(float(f) for f in args.mix.split(","))
             if len(fractions) != 3:
@@ -219,7 +209,7 @@ def _cmd_run(args) -> int:
         acceptance=AcceptanceModel(
             rejection_probability=args.reject_prob,
             no_response_probability=args.no_response_prob,
-            seed=_effective_seed(args),
+            seed=args.seed,
         ),
     )
     out = Path(args.out)
@@ -302,8 +292,7 @@ def _cmd_experiment(args) -> int:
 
     name = args.which
     (baseline, variant), labels, title = PAIRED_EXPERIMENTS[name]
-    seed = _effective_seed(args)
-    rows = experiment_paired_policies(config, range(seed, seed + args.seeds), baseline, variant)
+    rows = experiment_paired_policies(config, range(args.seed, args.seed + args.seeds), baseline, variant)
     _write_figure(
         out, name, ("seed",) + labels,
         [(r.seed, round(r.baseline_pct, 4), round(r.variant_pct, 4)) for r in rows],

@@ -56,12 +56,6 @@ class TestGenerate:
     def test_unknown_flag_exits_one(self, tmp_path):
         assert run_cli("generate", "--bogus", "1", "--out", str(tmp_path / "x.json")) == 1
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FDRM_SEED", "777")
-        out = tmp_path / "s.json"
-        assert run_cli("generate", "--seed", "1", "--requests", "30", "--out", str(out)) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 777
-
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("generate", "--seed", "9", "--requests", "80", "--out", str(a))
@@ -83,6 +77,28 @@ class TestGenerate:
         assert run_cli("generate", "--preset", "corridor", "--requests", "100", "--out", str(out)) == 0
         config = json.loads(out.read_text())["config"]
         assert config["donor_hubs"] == 1 and config["receiver_hubs"] == 1
+
+
+class TestSeedFlag:
+    def test_env_seed_not_read(self, small_scenario, tmp_path, monkeypatch):
+        # each command's seed is its --seed flag; FDRM_SEED in the environment changes nothing
+        def outputs(tag, seed):
+            scenario, run, fig = (tmp_path / f"{tag}-{name}" for name in ("s.json", "run", "fig8b"))
+            assert run_cli("generate", "--seed", seed, "--requests", "30", "--out", str(scenario)) == 0
+            assert run_cli("run", "--scenario", str(small_scenario), "--seed", seed,
+                           "--reject-prob", "0.3", "--out", str(run)) == 0
+            assert run_cli("experiment", "fig8b", "--scenario", str(small_scenario), "--seeds", "1",
+                           "--seed", seed, "--out", str(fig)) == 0
+            return scenario.read_bytes(), (run / "report.csv").read_bytes(), (fig / "fig8b.csv").read_bytes()
+
+        monkeypatch.delenv("FDRM_SEED", raising=False)
+        unset, other_seed = outputs("unset", "1"), outputs("other", "777")
+        monkeypatch.setenv("FDRM_SEED", "777")
+        env_set = outputs("set", "1")
+        assert json.loads(env_set[0])["config"]["seed"] == 1
+        assert env_set == unset
+        # every output moves with the seed, so a command that read the variable would show here
+        assert all(a != b for a, b in zip(unset, other_seed))
 
 
 class TestRun:

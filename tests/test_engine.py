@@ -643,6 +643,25 @@ class TestClassRounds:
         assert self._volunteers_by_class(True) == {P: RequestId(90, 1), NP: None}
 
 
+class TestLateVolunteer:
+    def test_volunteer_submitted_after_the_donors_first_gated_round(self):
+        # generated cities submit every volunteer at the working start, so
+        # only a direct test brings one to a donor gated in earlier rounds
+        d = donor(1, amount=900, window=(720, 900))
+        r = receiver(50, amount=900, loc=(22, 10), window=(780, 1000))
+        pool = ActivePool()
+        for request in (d, r):
+            submit_request(request, pool, TH)
+        eng = MatchingEngine(pool, TH)
+        for now in (600, 605):
+            assert gated([d], now, TH.t_d) == [d] and gated([r], now, TH.t_r) == [r]
+            # 12 km is past the 5 km non-motored reach
+            assert eng.iterate(now) == []
+        submit_request(vol(90, route=((10.2, 10), (22.1, 10)), window=(600, 1000), payload=20_000), pool, TH)
+        (group,) = eng.iterate(610)
+        assert (group.donor_agent, group.volunteer, group.receiver) == (1, RequestId(90, 1), RequestId(50, 1))
+
+
 def displayed_group(meals=1):
     """An engine and the one group it displays at minute 660 for a donor of
     `meals` 1000 g meals, a receiver wanting all of them and a volunteer."""

@@ -288,8 +288,7 @@ def figure_scenario(tmp_path_factory):
 
 
 @pytest.mark.parametrize("which", sorted(FIGURE_DIGESTS))
-def test_figure_file_bytes(which, figure_scenario, tmp_path, monkeypatch):
-    monkeypatch.delenv("FDRM_SEED", raising=False)
+def test_figure_file_bytes(which, figure_scenario, tmp_path):
     out = tmp_path / which
     argv = ["experiment", which, "--scenario", str(figure_scenario), "--out", str(out), *FIGURE_FLAGS[which]]
     assert main(argv) == 0
@@ -306,9 +305,8 @@ def test_scenario_file_bytes(which, tmp_path):
 
 
 @pytest.mark.parametrize("preset, requests", [("corridor", 400), ("deadlines", 600)])
-def test_generate_preset_file_bytes(preset, requests, tmp_path, monkeypatch):
+def test_generate_preset_file_bytes(preset, requests, tmp_path):
     """`generate --preset` writes the desk cities the benchmark reads."""
-    monkeypatch.delenv("FDRM_SEED", raising=False)
     path = tmp_path / "scenario.json"
     assert main(["generate", "--preset", preset, "--requests", str(requests), "--seed", "4", "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIO_FILE_DIGESTS[f"{preset}-4"]

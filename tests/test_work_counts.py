@@ -2,9 +2,10 @@
 
 Two seeded runs, the desk-policy city under raw preferences and a churned
 1,500-request city, count the geometry calls the engine makes through the
-same module names the traced benchmark wraps, the provisional and completed
-matches of its rounds, and the Python-level RequestId hashes of the whole
-run. Each count must stay at or under its ceiling. Each run's served grams
+same module names the traced benchmark wraps, its off_route_allowance calls
+(one per market volunteer on each class round that gates a donor), the
+provisional and completed matches of its rounds, and the Python-level
+RequestId hashes of the whole run. Each count must stay at or under its ceiling. Each run's served grams
 and a digest of its accepted groups are pinned next to the counts, so a
 lower count cannot come from doing different work. A third test counts the
 copies the misreport probe makes per one-shot run.
@@ -35,6 +36,7 @@ WORKLOADS = {
             "distance": 4_682,
             "within_pickup_radius": 62_516,
             "within_dropoff_band": 1_194,
+            "off_route_allowance": 24_569,
             "provisional_matches": 1_923,
             "completed_matches": 21,
             "RequestId.__hash__": 3_243,
@@ -47,6 +49,7 @@ WORKLOADS = {
             "distance": 171_176,
             "within_pickup_radius": 16_308,
             "within_dropoff_band": 37_848,
+            "off_route_allowance": 118_968,
             "provisional_matches": 8_629,
             "completed_matches": 821,
             "RequestId.__hash__": 95_352,
@@ -73,7 +76,7 @@ def test_seeded_run_stays_under_its_ceilings(workload, monkeypatch):
     config, policy, acceptance, ceilings, served_grams, digest = WORKLOADS[workload]
     scenario = generate_scenario(config)
     counts: Counter = Counter()
-    for name in ("distance", "within_pickup_radius", "within_dropoff_band"):
+    for name in ("distance", "within_pickup_radius", "within_dropoff_band", "off_route_allowance"):
         count_calls(monkeypatch, counts, engine, name)
     count_calls(monkeypatch, counts, engine, "assign_volunteers", "provisional_matches", lambda result: len(result[0]))
     count_calls(monkeypatch, counts, engine, "ca_dtb", "completed_matches", lambda result: len(result.completed()))
