@@ -69,32 +69,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    # one flag per threshold, --t-p-nm for t_p_nm, parsed as its default's type
-    for f in fields(Thresholds):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
-
-
-def _thresholds_from_args(args, base: Thresholds) -> Thresholds:
-    overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds) if getattr(args, f.name) is not None}
-    return replace(base, **overrides) if overrides else base
-
-
-def _refuse_repeated_ids(scenario: Scenario) -> None:
-    """Name the first record whose request id an earlier record took."""
+def _refuse_repeated_ids(scenario: Scenario) -> Scenario:
+    """The scenario itself, once no record repeats an earlier record's
+    request id; else ValueError naming the first that does."""
     seen: set[RequestId] = set()
     for index, timed in enumerate(scenario.requests):
         if timed.request.id in seen:
             raise ValueError(f"request {index}: duplicate request {timed.request.id}")
         seen.add(timed.request.id)
-
-
-def _load_scenario_with_overrides(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    _refuse_repeated_ids(scenario)
-    thresholds = _thresholds_from_args(args, scenario.config.thresholds)
-    if thresholds != scenario.config.thresholds:
-        scenario = Scenario(config=replace(scenario.config, thresholds=thresholds), requests=scenario.requests)
     return scenario
 
 
@@ -114,7 +96,10 @@ def build_parser() -> _Parser:
         "tight-deadline policy city",
     )
     gen.add_argument("--out", required=True)
-    _add_threshold_flags(gen)
+    # the one place thresholds are set: one flag per threshold, --t-p-nm for
+    # t_p_nm, parsed as its default's type; every other command reads the file's
+    for f in fields(Thresholds):
+        gen.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
     run = sub.add_parser("run", help="run one simulation")
     run.add_argument("--scenario", required=True)
@@ -124,7 +109,6 @@ def build_parser() -> _Parser:
     run.add_argument("--no-response-prob", type=float, default=0.0)
     run.add_argument("--seed", type=int, default=0, help="acceptance-model seed")
     run.add_argument("--out", required=True, help="output directory")
-    _add_threshold_flags(run)
 
     exp = sub.add_parser("experiment", help="reproduce one simulation experiment")
     figures = exp.add_subparsers(dest="which", required=True)
@@ -133,7 +117,6 @@ def build_parser() -> _Parser:
         fig = figures.add_parser(which)
         fig.add_argument("--scenario", required=True)
         fig.add_argument("--out", required=True, help="output directory")
-        _add_threshold_flags(fig)
         if which == "fig8a":
             fig.add_argument("--multiples", default="0.25,0.5,1,2,4")
         elif which == "fig8d":
@@ -148,7 +131,6 @@ def build_parser() -> _Parser:
 
     gamma = sub.add_parser("check-gamma", help="verify the off-routing bound on a full run")
     gamma.add_argument("--scenario", required=True)
-    _add_threshold_flags(gamma)
 
     return parser
 
@@ -173,7 +155,8 @@ def _cmd_generate(args) -> int:
                 raise ValueError("mix must have three comma-separated fractions")
             config = replace(config, donor_fraction=fractions[0], receiver_fraction=fractions[1],
                              volunteer_fraction=fractions[2])
-    config = replace(config, thresholds=_thresholds_from_args(args, config.thresholds))
+    overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds) if getattr(args, f.name) is not None}
+    config = replace(config, thresholds=replace(config.thresholds, **overrides))
     scenario = generate_scenario(config)
     save_scenario(scenario, args.out)
     print(f"wrote {args.out}: {len(scenario.requests)} requests")
@@ -202,7 +185,7 @@ def _report_rows(report: SimReport) -> list[tuple]:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario_with_overrides(args)
+    scenario = _refuse_repeated_ids(load_scenario(args.scenario))
     report = run_simulation(
         scenario,
         policy=MatchPolicy(receiver_sort=args.receiver_sort, preferences=args.preferences),
@@ -250,7 +233,7 @@ def _write_figure(out: Path, name: str, header: Sequence[str], rows: Sequence[Se
 
 
 def _cmd_experiment(args) -> int:
-    scenario = _load_scenario_with_overrides(args)
+    scenario = _refuse_repeated_ids(load_scenario(args.scenario))
     config = scenario.config
     # fig8a-c build their populations from the config alone, so the file's
     # requests are not held through their runs; only fig8d runs them
@@ -354,7 +337,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_gamma(args) -> int:
-    scenario = _load_scenario_with_overrides(args)
+    scenario = _refuse_repeated_ids(load_scenario(args.scenario))
     report = run_simulation(scenario)
     bad = gamma_violations(report.deliveries, scenario.config.thresholds)
     bound = 4.0 * scenario.config.thresholds.t_l

@@ -445,14 +445,13 @@ def _request_from_record(record, working_end: int) -> TimedRequest:
         raise ValueError(f"expected an object, got {type(record).__name__}")
     # every read takes its key out, so what is left was never read
     record = dict(record)
-    rid = RequestId(_get(record, "agent_id", int), _get(record, "request_seq", int, 1))
+    # the class's init arguments in declaration order, id and arrival first
+    args = [RequestId(_get(record, "agent_id", int), _get(record, "request_seq", int, 1)), -1]
     window = _get(record, "window", TimeWindow)
     type_name = _get(record, "type", str)
     cls = _RECORD_TYPES.get(type_name)
     if cls is None:
         raise ValueError(f"unknown request type {type_name!r}")
-    # the class's init arguments in declaration order, id and arrival first
-    args = [rid, -1]
     for _, key, kind, default in _PLANS[cls][1]:
         if key == "route":
             route = _get(record, "route", list)
@@ -469,8 +468,9 @@ def _request_from_record(record, working_end: int) -> TimedRequest:
         raise ValueError(f"unknown keys {sorted(record)}")
     if submit_at < 0 or window.start < 0:
         raise ValueError(f"minutes must not be negative, got submit_at {submit_at}, window start {window.start}")
-    if window.end > working_end:
-        raise ValueError(f"window ends at minute {window.end}, past working_end {working_end}")
+    for what, minute in (("window ends", window.end), ("submitted", submit_at)):
+        if minute > working_end:
+            raise ValueError(f"{what} at minute {minute}, past working_end {working_end}")
     return TimedRequest(submit_at=submit_at, request=request)
 
 
@@ -530,7 +530,7 @@ def _scenario_chunks(scenario: Scenario) -> Iterator[str]:
 def _scenario(payload) -> tuple[Scenario, Optional[int]]:
     """The scenario of a parsed file and its "at" minute, if any.
 
-    Config errors come first, so that each record's window can be checked
+    Config errors come first, so that each record's minutes can be checked
     against ``working_end``; then the first bad record in file order is
     named by its index; then any top-level key besides "config",
     "requests" and "at"; then an "at" that is not an integer.

@@ -89,14 +89,19 @@ def run_simulation(
     rng = random.Random(f"{acceptance.seed}:acceptance")
 
     schedule = sorted(scenario.requests, key=lambda t: (t.submit_at, t.request.id.agent_id))
-    # runs never mutate the caller's scenario: the requests carry live state,
-    # and only they are copied; the TimedRequest wrappers are only read
-    requests = copy.deepcopy([timed.request for timed in schedule])
     if schedule:
         start = min(scenario.config.working_start, schedule[0].submit_at)
     else:
         start = scenario.config.working_start
     horizon = scenario.horizon()
+    # the clock must reach a group displayed at the horizon or at the last
+    # submission, t_w minutes on, and the tick after that expires it
+    last = max(horizon, schedule[-1].submit_at if schedule else start) + thresholds.t_w
+    if (last - start) // TICK_MINUTES + 2 > MAX_ITERATIONS:
+        raise ValueError(f"clock from minute {start} to {last} needs more than {MAX_ITERATIONS} ticks")
+    # runs never mutate the caller's scenario: the requests carry live state,
+    # and only they are copied; the TimedRequest wrappers are only read
+    requests = copy.deepcopy([timed.request for timed in schedule])
 
     now = start
     pending = 0

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from foodmatch import cli, experiments, pool
+from foodmatch import cli, experiments, pool, simulate
 from foodmatch import scenario as scenario_module
 from foodmatch.cli import load_instance, main
 from foodmatch.model import Match, RequestId
@@ -369,40 +369,61 @@ class TestCheckGamma:
 
 
 class TestSettingFlags:
-    """The threshold and policy flags keep the types and checks of the
-    settings they derive from; the clock step has no flag."""
+    """Thresholds come from the scenario file, and only generate sets them;
+    the threshold and policy flags keep the types and checks of the settings
+    they derive from; the clock step has no flag."""
 
-    def test_threshold_flag_equals_embedded_threshold(self, small_scenario, tmp_path):
+    def test_embedded_threshold_changes_the_run(self, small_scenario, tmp_path):
         scenario = load_scenario(small_scenario)
         thresholds = replace(scenario.config.thresholds, t_l=40.0)
         embedded = tmp_path / "embedded.json"
         save_scenario(Scenario(config=replace(scenario.config, thresholds=thresholds), requests=scenario.requests),
                       embedded)
-        outs = {name: tmp_path / name for name in ("flag", "embedded", "default")}
-        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(outs["flag"]), "--t-l", "40") == 0
+        outs = {name: tmp_path / name for name in ("embedded", "default")}
         assert run_cli("run", "--scenario", str(embedded), "--out", str(outs["embedded"])) == 0
         assert run_cli("run", "--scenario", str(small_scenario), "--out", str(outs["default"])) == 0
-        for name in ("report.csv", "deliveries.csv", "report.json"):
-            assert (outs["flag"] / name).read_bytes() == (outs["embedded"] / name).read_bytes(), name
-        assert (outs["flag"] / "deliveries.csv").read_bytes() != (outs["default"] / "deliveries.csv").read_bytes()
+        assert (outs["embedded"] / "deliveries.csv").read_bytes() != (outs["default"] / "deliveries.csv").read_bytes()
 
-    # an integer threshold stays integer-typed; a policy takes only the engine's modes
-    @pytest.mark.parametrize("flag", [("--t-o", "1.5"), ("--receiver-sort", "middle"), ("--preferences", "sorted")])
+    # only generate takes a threshold flag; every other command reads the file's
+    @pytest.mark.parametrize("command", [
+        ["run"], ["experiment", "fig8a"], ["experiment", "fig8b"], ["experiment", "fig8c"],
+        ["experiment", "fig8d"], ["check-gamma"],
+    ])
+    def test_threshold_flag_off_generate_exits_one(self, command, small_scenario, tmp_path, capsys):
+        argv = [*command, "--scenario", str(small_scenario), "--t-l", "40"]
+        if command != ["check-gamma"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: unrecognized arguments: --t-l 40"
+        assert not (tmp_path / "out").exists()
+
+    # an integer threshold stays integer-typed
+    def test_fractional_integer_threshold_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run_cli("generate", "--requests", "30", "--out", str(out), "--t-o", "1.5") == 1
+        assert "argument --t-o: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a policy takes only the engine's modes
+    @pytest.mark.parametrize("flag", [("--receiver-sort", "middle"), ("--preferences", "sorted")])
     def test_value_outside_the_setting_exits_one(self, flag, small_scenario, tmp_path, capsys):
         assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), *flag) == 1
         assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_threshold_exits_one(self, value, small_scenario, tmp_path, capsys):
+    @pytest.mark.parametrize("value, text", [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")])
+    def test_non_finite_threshold_exits_one(self, value, text, tmp_path, capsys):
         # refused before anything is written, not by the next command that reads it
-        for argv in (
-            ("generate", "--requests", "30", "--out", str(tmp_path / "out.json")),
-            ("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out")),
-        ):
-            assert run_cli(*argv, f"--t-l={value}") == 1
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error: threshold t_l must be positive and finite"), err
+        assert run_cli("generate", "--requests", "30", "--out", str(tmp_path / "out.json"), f"--t-l={value}") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: threshold t_l must be positive and finite"), err
+        # and a file that holds one is refused as it is read
+        path = tmp_path / "non_finite.json"
+        path.write_text('{"config": {"thresholds": {"t_l": %s}}, "requests": []}' % text)
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config.thresholds.t_l must be finite, got {value}"]
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -415,8 +436,10 @@ class TestSettingFlags:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
-    def test_float_threshold_takes_a_fraction(self, small_scenario, tmp_path):
-        assert run_cli("run", "--scenario", str(small_scenario), "--out", str(tmp_path / "out"), "--t-l", "7.5") == 0
+    def test_float_threshold_takes_a_fraction(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert run_cli("generate", "--requests", "30", "--out", str(out), "--t-l", "7.5") == 0
+        assert '"t_l": 7.5' in out.read_text()
 
     # the clock step is fixed, so no command takes a flag for it
     @pytest.mark.parametrize("command", [
@@ -478,6 +501,10 @@ MALFORMED = {
     "window_past_working_day": (
         json.dumps({"requests": [_valid_record(window=[500, 10_000_000])]}),
         "request 0: window ends at minute 10000000, past working_end 1439",
+    ),
+    "submit_past_working_day": (
+        _requests(_valid_record(submit_at=99_999_999)),
+        "request 0: submitted at minute 99999999, past working_end 1439",
     ),
     "negative_submit_at": (
         json.dumps({"requests": [_valid_record(), _valid_record(agent_id=2, submit_at=-5)]}),
@@ -585,6 +612,27 @@ class TestMalformedInput:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists() or not any(out.iterdir())
+
+    # each would tick for minutes before the loop guard stopped it; the span
+    # is refused before the first tick
+    @pytest.mark.parametrize("case", ["long_working_day", "long_acceptance_deadline"])
+    def test_clock_that_cannot_settle_exits_one(self, case, tmp_path, capsys):
+        path = tmp_path / "runaway.json"
+        if case == "long_working_day":
+            path.write_text(_requests(_valid_record(window=[500, 20_000_000]), config={"working_end": 20_000_000}))
+            expected = f"error: clock from minute 0 to 20000015 needs more than {simulate.MAX_ITERATIONS} ticks"
+        else:
+            assert run_cli("generate", "--seed", "42", "--requests", "120", "--t-w", "100000000",
+                           "--out", str(path)) == 0
+            capsys.readouterr()
+            scenario = load_scenario(path)
+            start = min(scenario.config.working_start, scenario.requests[0].submit_at)
+            expected = (f"error: clock from minute {start} to {scenario.horizon() + 100_000_000} "
+                        f"needs more than {simulate.MAX_ITERATIONS} ticks")
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(path), "--out", str(out), "--no-response-prob", "1") == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["run"], ["oracle", "pareto"], ["oracle", "strategyproof"]])
     @pytest.mark.parametrize("streamed", [True, False], ids=["stream", "whole-text"])

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from foodmatch import engine as engine_module
 from foodmatch import simulate
 from foodmatch.geometry import off_route_overhead
 from foodmatch.model import (
@@ -93,9 +94,27 @@ class TestToyRuns:
         assert report.lifecycle_consistent
 
     def test_max_iterations_guard(self, monkeypatch):
-        monkeypatch.setattr(simulate, "MAX_ITERATIONS", 3)
-        with pytest.raises(RuntimeError, match="did not settle"):
-            run_simulation(toy_scenario())
+        # the toy's clock span passes the up-front check, but its one group,
+        # never answered and never expired, keeps the clock running
+        monkeypatch.setattr(simulate, "MAX_ITERATIONS", 200)
+        monkeypatch.setattr(engine_module, "expire_stale_matches", lambda *args: [])
+        with pytest.raises(RuntimeError, match="did not settle within 200 iterations"):
+            run_simulation(toy_scenario(), acceptance=AcceptanceModel(no_response_probability=1.0))
+
+    # each ticked for about a million iterations before the loop guard stopped it
+    @pytest.mark.parametrize("case", ["long_working_day", "late_submission", "long_acceptance_deadline"])
+    def test_clock_that_cannot_settle_refused_before_the_first_tick(self, case, monkeypatch):
+        monkeypatch.setattr(engine_module.MatchingEngine, "iterate", lambda *args: pytest.fail("a tick ran"))
+        donor = toy_scenario().requests[0]
+        if case == "long_working_day":
+            donor.request.window = TimeWindow(500, 20_000_000)
+            scenario = Scenario(config=ScenarioConfig(working_end=20_000_000), requests=[TimedRequest(0, donor.request)])
+        elif case == "late_submission":
+            scenario = Scenario(config=ScenarioConfig(), requests=[TimedRequest(99_999_999, donor.request)])
+        else:
+            scenario = generate_scenario(ScenarioConfig(n_requests=120, seed=42, thresholds=Thresholds(t_w=100_000_000)))
+        with pytest.raises(ValueError, match=f"needs more than {simulate.MAX_ITERATIONS} ticks"):
+            run_simulation(scenario, acceptance=AcceptanceModel(no_response_probability=1.0))
 
 
 class TestSeededRuns:
